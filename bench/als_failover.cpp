@@ -23,17 +23,10 @@ namespace {
 
 constexpr const char* kFailoverHist = "ls.failover.latency_ms";
 
-const obs::MetricsSnapshot::Hist* find_hist(const workload::ScenarioResult& r,
-                                            const std::string& name) {
-    for (const auto& h : r.metrics.histograms)
-        if (h.name == name) return &h;
-    return nullptr;
-}
-
 double resolve_success(const workload::ScenarioResult& r) {
     const double total =
-        static_cast<double>(r.ls.resolved_ok + r.ls.resolved_fail);
-    return total > 0.0 ? static_cast<double>(r.ls.resolved_ok) / total : 0.0;
+        static_cast<double>(r.counter("ls.resolved_ok") + r.counter("ls.resolved_fail"));
+    return total > 0.0 ? static_cast<double>(r.counter("ls.resolved_ok")) / total : 0.0;
 }
 
 }  // namespace
@@ -103,15 +96,14 @@ int main(int argc, char** argv) {
         std::uint64_t failovers = 0, violations = 0, stale = 0;
         util::Sampler p50s, p99s;
         for (const experiment::RunRecord& run : pt.runs) {
-            if (const auto* h = find_hist(run.result, kFailoverHist)) {
-                failovers += h->count;
-                if (h->count > 0) {
-                    p50s.add(h->p50);
-                    p99s.add(h->p99);
-                }
+            const auto h = run.result.metrics.histogram(kFailoverHist);
+            failovers += h.count;
+            if (h.count > 0) {
+                p50s.add(h.p50);
+                p99s.add(h.p99);
             }
             violations += run.result.invariants.violations();
-            stale += run.result.ls.stale_reads;
+            stale += run.result.counter("ls.failover.stale_reads");
         }
         if (violations > 0) invariants_clean = false;
         if (pt.values[0] > 0.0) {

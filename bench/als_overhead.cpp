@@ -47,19 +47,19 @@ int main() {
     util::TablePrinter table({"service", "lookup ok", "lookup fail", "B/update", "B/query",
                               "B/reply", "trial decrypts", "data delivery"});
     for (const Row& row : rows) {
-        const auto& ls = row.r.ls;
+        const workload::ScenarioResult& r = row.r;
         auto per = [](std::uint64_t bytes, std::uint64_t count) {
             return count ? static_cast<double>(bytes) / static_cast<double>(count) : 0.0;
         };
         table.row()
             .cell(row.name)
-            .cell(static_cast<long long>(ls.resolved_ok))
-            .cell(static_cast<long long>(ls.resolved_fail))
-            .cell(per(ls.update_bytes, ls.updates_sent), 1)
-            .cell(per(ls.query_bytes, ls.queries_sent), 1)
-            .cell(per(ls.reply_bytes, ls.replies_sent), 1)
-            .cell(static_cast<long long>(ls.decrypt_attempts))
-            .cell(row.r.delivery_fraction, 3);
+            .cell(static_cast<long long>(r.counter("ls.resolved_ok")))
+            .cell(static_cast<long long>(r.counter("ls.resolved_fail")))
+            .cell(per(r.counter("ls.update_bytes"), r.counter("ls.updates_sent")), 1)
+            .cell(per(r.counter("ls.query_bytes"), r.counter("ls.queries_sent")), 1)
+            .cell(per(r.counter("ls.reply_bytes"), r.counter("ls.replies_sent")), 1)
+            .cell(static_cast<long long>(r.counter("ls.decrypt_attempts")))
+            .cell(r.delivery_fraction(), 3);
     }
     table.print();
 

@@ -44,16 +44,16 @@ int main(int argc, char** argv) {
                               "pseudonym->MAC links", "tracking", "precision",
                               "anon-set"});
     for (const experiment::PointRecord& pt : points) {
-        const auto& adv = pt.runs.front().result.adversary;
-        const auto& atk = pt.runs.front().result.attack;
+        const workload::ScenarioResult& r = pt.runs.front().result;
+        const auto& atk = r.attack;
         table.row()
             .cell(pt.labels[0])
-            .cell(static_cast<long long>(adv.frames_observed))
-            .cell(static_cast<long long>(adv.identity_sightings))
-            .cell(static_cast<long long>(adv.pseudonym_sightings))
-            .cell(static_cast<long long>(adv.nodes_ever_localized))
-            .cell(adv.mean_tracking_coverage, 3)
-            .cell(static_cast<long long>(adv.mac_pseudonym_links))
+            .cell(static_cast<long long>(r.counter("adv.frames_observed")))
+            .cell(static_cast<long long>(r.counter("adv.identity_sightings")))
+            .cell(static_cast<long long>(r.counter("adv.pseudonym_sightings")))
+            .cell(static_cast<long long>(r.counter("adv.nodes_ever_localized")))
+            .cell(r.metrics.gauge("adv.mean_tracking_coverage"), 3)
+            .cell(static_cast<long long>(r.counter("adv.mac_pseudonym_links")))
             .cell(atk.tracking_success_rate, 3)
             .cell(atk.link_precision, 3)
             .cell(atk.mean_anonymity_set, 2);

@@ -60,15 +60,15 @@ int main(int argc, char** argv) {
         table.row()
             .cell(static_cast<long long>(pt.values[0] * 100.0 + 0.5))
             .cell(pt.mean([](const workload::ScenarioResult& r) {
-                      return r.delivery_fraction;
+                      return r.delivery_fraction();
                   }),
                   3)
             .cell(pt.mean([](const workload::ScenarioResult& r) {
-                      return r.avg_latency_ms;
+                      return r.metrics.histogram("app.latency_ms").mean;
                   }),
                   1)
             .cell(pt.mean([](const workload::ScenarioResult& r) {
-                      return static_cast<double>(r.resilience.node_crashes);
+                      return static_cast<double>(r.counter("fault.node_crashes"));
                   }),
                   1)
             .cell(pt.mean([](const workload::ScenarioResult& r) {

@@ -365,7 +365,7 @@ int main(int argc, char** argv) {
                 .cell(pt.mean(eps), 0)
                 .cell(static_cast<long long>(r0.events_processed))
                 .cell(static_cast<long long>(r0.perf.peak_queue_depth))
-                .cell(r0.delivery_fraction, 3);
+                .cell(r0.delivery_fraction(), 3);
         }
         table.print();
 

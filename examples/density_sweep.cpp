@@ -11,6 +11,7 @@
 //                      [--jobs=1] [--json=PATH]
 
 #include <cstdio>
+#include <functional>
 #include <sstream>
 
 #include "experiment/json.hpp"
@@ -67,21 +68,31 @@ int main(int argc, char** argv) {
     util::TablePrinter table({"nodes", "scheme", "delivery", "lat (ms)", "p95 (ms)", "hops",
                               "mac retries", "nl retx", "collisions"});
     for (const experiment::PointRecord& pt : points) {
-        const auto mean = [&](auto field) {
-            return pt.mean([field](const workload::ScenarioResult& r) {
-                return static_cast<double>(r.*field);
+        using Hist = obs::MetricsSnapshot::Hist;
+        const auto mean = [&](auto get) {
+            return pt.mean([&](const workload::ScenarioResult& r) {
+                return static_cast<double>(get(r));
             });
+        };
+        const auto hist = [&](const char* name, double Hist::*field) {
+            return mean([=](const workload::ScenarioResult& r) {
+                return r.metrics.histogram(name).*field;
+            });
+        };
+        const auto counter = [&](const char* name) {
+            return static_cast<long long>(
+                mean([=](const workload::ScenarioResult& r) { return r.counter(name); }));
         };
         table.row()
             .cell(pt.labels[0])
             .cell(pt.labels[1])
-            .cell(mean(&workload::ScenarioResult::delivery_fraction), 3)
-            .cell(mean(&workload::ScenarioResult::avg_latency_ms), 2)
-            .cell(mean(&workload::ScenarioResult::p95_latency_ms), 2)
-            .cell(mean(&workload::ScenarioResult::avg_hops), 2)
-            .cell(static_cast<long long>(mean(&workload::ScenarioResult::mac_retries)))
-            .cell(static_cast<long long>(mean(&workload::ScenarioResult::nl_retransmissions)))
-            .cell(static_cast<long long>(mean(&workload::ScenarioResult::mac_collisions)));
+            .cell(mean(std::mem_fn(&workload::ScenarioResult::delivery_fraction)), 3)
+            .cell(hist("app.latency_ms", &Hist::mean), 2)
+            .cell(hist("app.latency_ms", &Hist::p95), 2)
+            .cell(hist("app.hops", &Hist::mean), 2)
+            .cell(counter("mac.retries"))
+            .cell(counter("agfw.retransmissions"))
+            .cell(counter("phy.frames_corrupted"));
     }
     table.print();
 

@@ -64,10 +64,10 @@ int main(int argc, char** argv) {
         const auto r = run_case(c.scheme, c.anon_mac, nodes, seconds, seed);
         table.row()
             .cell(c.name)
-            .cell(static_cast<long long>(r.adversary.identity_sightings))
-            .cell(static_cast<long long>(r.adversary.nodes_ever_localized))
-            .cell(r.adversary.mean_tracking_coverage, 3)
-            .cell(static_cast<long long>(r.adversary.mac_pseudonym_links));
+            .cell(static_cast<long long>(r.counter("adv.identity_sightings")))
+            .cell(static_cast<long long>(r.counter("adv.nodes_ever_localized")))
+            .cell(r.metrics.gauge("adv.mean_tracking_coverage"), 3)
+            .cell(static_cast<long long>(r.counter("adv.mac_pseudonym_links")));
         std::printf("%-16s : %s\n", c.name, c.story);
     }
     std::printf("\n");

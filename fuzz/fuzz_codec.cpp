@@ -1,5 +1,6 @@
-// Fuzz harness for the packet codec (src/net/codec.cpp) — the one component
-// that parses untrusted bytes.
+// Fuzz harness for the packet codec (src/net/codec.cpp), plus a corpus
+// replay of the JSON reader (util/json, obs/trace_read) — the components that
+// parse untrusted bytes.
 //
 // Two build modes share the same property checks:
 //
@@ -7,8 +8,9 @@
 //    harness exports LLVMFuzzerTestOneInput and libFuzzer drives it.
 //        ./build/fuzz/fuzz_codec fuzz/corpus_bin/
 //  - standalone replayer (default, any compiler): a main() that replays the
-//    checked-in hex corpus (fuzz/corpus/*.hex) or any files/directories given
-//    on the command line, applying the same properties deterministically.
+//    checked-in hex corpus (fuzz/corpus/*.hex) and JSON corpus
+//    (fuzz/corpus_json/*.json), or any files/directories given on the command
+//    line, applying the same properties deterministically.
 //    This is what CI and tests/test_codec_fuzz_regressions.cpp exercise, so
 //    the corpus is covered even without libFuzzer.
 //
@@ -17,6 +19,14 @@
 //  P2  error and packet agree: packet engaged iff error == kOk;
 //  P3  a decoded packet re-encodes, and the re-encoding decodes cleanly;
 //  P4  re-encoding is a fixed point: encode(decode(encode(p))) == encode(p).
+//
+// Properties per .json input (replayer only):
+//  J1  util::parse_json and obs::load_chrome_trace never crash or overflow
+//      the stack (sanitizers catch violations);
+//  J2  each returns false exactly when it sets an error;
+//  J3  a file named reject_* is rejected; a valid_* file loads and re-exports
+//      byte-identically (so 64-bit ids above 2^53 survive exactly);
+//  J4  re-exporting a loaded trace is a fixed point of load + export.
 
 #include <cstddef>
 #include <cstdint>
@@ -25,7 +35,10 @@
 #include <span>
 
 #include "net/codec.hpp"
+#include "obs/export.hpp"
+#include "obs/trace_read.hpp"
 #include "util/bytes.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -75,12 +88,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
 
 namespace {
 
+std::string read_file(const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 /// Loads a corpus file: .hex files hold one hex string (whitespace ignored),
 /// anything else is treated as raw bytes.
 std::vector<std::uint8_t> load_input(const std::filesystem::path& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::string content((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
+    const std::string content = read_file(path);
     if (path.extension() == ".hex") {
         std::string hex;
         for (char c : content)
@@ -92,9 +108,47 @@ std::vector<std::uint8_t> load_input(const std::filesystem::path& path) {
     return {content.begin(), content.end()};
 }
 
+/// Returns nullptr if J1-J4 hold, else a description of the failure.
+const char* check_json(const std::string& text, const std::string& name, bool& loaded) {
+    using geoanon::obs::load_chrome_trace;
+    using geoanon::obs::to_chrome_trace_json;
+    geoanon::util::JsonValue doc;
+    std::string doc_error;
+    const bool parsed = geoanon::util::parse_json(text, doc, doc_error);
+    geoanon::obs::LoadedTrace trace;
+    std::string error;
+    loaded = load_chrome_trace(text, trace, error);
+    if (parsed != doc_error.empty() || loaded != error.empty())
+        return "J2: result disagrees with the error message";
+    if (loaded && !parsed) return "J2: trace loads but the document does not parse";
+    if (name.starts_with("reject_") && loaded) return "J3: reject_ input was accepted";
+    if (name.starts_with("valid_") && !loaded) return "J3: valid_ input was rejected";
+    if (!loaded) return nullptr;
+
+    const std::string once = to_chrome_trace_json(trace.events, trace.meta);
+    if (name.starts_with("valid_") && once != text)
+        return "J3: valid_ input does not re-export byte-identically";
+    geoanon::obs::LoadedTrace again;
+    if (!load_chrome_trace(once, again, error)) return "J4: re-export fails to load";
+    if (to_chrome_trace_json(again.events, again.meta) != once)
+        return "J4: re-export is not a fixed point";
+    return nullptr;
+}
+
 int replay_file(const std::filesystem::path& path, int& count) {
-    const auto input = load_input(path);
     ++count;
+    if (path.extension() == ".json") {
+        const std::string text = read_file(path);
+        bool loaded = false;
+        if (const char* err = check_json(text, path.filename().string(), loaded)) {
+            std::fprintf(stderr, "FAIL %s: %s\n", path.c_str(), err);
+            return 1;
+        }
+        std::printf("ok   %-40s %4zu bytes -> %s\n", path.filename().c_str(), text.size(),
+                    loaded ? "loaded" : "rejected");
+        return 0;
+    }
+    const auto input = load_input(path);
     const auto result = decode_ex(input, /*include_trace=*/false);
     if (const char* err = check_both_modes(input)) {
         std::fprintf(stderr, "FAIL %s: %s\n", path.c_str(), err);
@@ -111,7 +165,10 @@ int main(int argc, char** argv) {
     namespace fs = std::filesystem;
     std::vector<fs::path> roots;
     for (int i = 1; i < argc; ++i) roots.emplace_back(argv[i]);
-    if (roots.empty()) roots.emplace_back(GEOANON_CORPUS_DIR);
+    if (roots.empty()) {
+        roots.emplace_back(GEOANON_CORPUS_DIR);
+        roots.emplace_back(GEOANON_JSON_CORPUS_DIR);
+    }
 
     int failures = 0;
     int count = 0;

@@ -20,7 +20,6 @@ void Eavesdropper::identity_sighting(net::NodeId victim, double t_seconds) {
 }
 
 void Eavesdropper::observe(const phy::Frame& frame, double t) {
-    ++frames_observed_;
     const bool has_real_src = frame.src != net::kBroadcastAddr;
 
     // A frame with a persistent source MAC localizes its owner outright.
@@ -90,20 +89,18 @@ void Eavesdropper::observe(const phy::Frame& frame, double t) {
     }
 }
 
-Eavesdropper::Report Eavesdropper::report(double total_seconds) const {
-    Report r;
-    r.frames_observed = frames_observed_;
-    r.identity_sightings = identity_sightings_;
-    r.pseudonym_sightings = pseudonym_sightings_;
-    r.mac_pseudonym_links = mac_pseudonym_links_;
-    r.nodes_ever_localized = windows_.size();
-    r.index_linkages = index_linkages_;
-    r.relationship_pairs_learned = relationships_.size();
+void Eavesdropper::publish_metrics(obs::MetricsRegistry& reg, double total_seconds) const {
+    reg.add("adv.identity_sightings", identity_sightings_);
+    reg.add("adv.pseudonym_sightings", pseudonym_sightings_);
+    reg.add("adv.mac_pseudonym_links", mac_pseudonym_links_);
+    reg.add("adv.nodes_ever_localized", windows_.size());
+    reg.add("adv.index_linkages", index_linkages_);
+    reg.add("adv.relationship_pairs_learned", relationships_.size());
 
     const double total_windows =
         std::max(1.0, total_seconds / params_.window_seconds);
     // Summation order must not follow hash layout: float addition is not
-    // associative, and mean_tracking_coverage lands in result JSON.
+    // associative, and the coverage gauge lands in result JSON.
     std::vector<std::size_t> window_counts;
     window_counts.reserve(windows_.size());
     // geoanon-lint: allow(unordered-iter) -- order erased by the sort below
@@ -113,9 +110,8 @@ Eavesdropper::Report Eavesdropper::report(double total_seconds) const {
     double coverage_sum = 0.0;
     for (const std::size_t wins : window_counts)
         coverage_sum += static_cast<double>(wins) / total_windows;
-    r.mean_tracking_coverage =
-        node_count_ > 0 ? coverage_sum / static_cast<double>(node_count_) : 0.0;
-    return r;
+    reg.set_gauge("adv.mean_tracking_coverage",
+                  node_count_ > 0 ? coverage_sum / static_cast<double>(node_count_) : 0.0);
 }
 
 }  // namespace geoanon::adversary

@@ -9,6 +9,7 @@
 #include "adversary/observation.hpp"
 #include "net/packet.hpp"
 #include "net/types.hpp"
+#include "obs/metrics.hpp"
 #include "phy/channel.hpp"
 
 namespace geoanon::adversary {
@@ -42,24 +43,6 @@ class Eavesdropper {
     Eavesdropper(ObservationFeed& feed, std::size_t node_count)
         : Eavesdropper(feed, node_count, Params{}) {}
 
-    struct Report {
-        std::uint64_t frames_observed{0};
-        /// Observations where an identity handle was tied to a location.
-        std::uint64_t identity_sightings{0};
-        /// Observations exposing only an unlinkable pseudonym.
-        std::uint64_t pseudonym_sightings{0};
-        /// Successful §3.2 pseudonym->MAC bindings.
-        std::uint64_t mac_pseudonym_links{0};
-        std::uint64_t nodes_ever_localized{0};
-        /// Successful §3.3 index-dictionary matches on observed ALS queries:
-        /// each reveals an (updater, requester) relationship.
-        std::uint64_t index_linkages{0};
-        std::uint64_t relationship_pairs_learned{0};
-        /// Mean over nodes of (windows with an identity-linked sighting) /
-        /// (total windows) — "how continuously can I track people".
-        double mean_tracking_coverage{0.0};
-    };
-
     /// §3.3's stated exposure risk for the indexed ALS: "the index part
     /// E_{K_B}(A,B) is a fixed block of data, a sophisticated attacker may
     /// find a matching identity ... by collecting enough certificates or
@@ -71,8 +54,21 @@ class Eavesdropper {
         index_dictionary_ = std::move(dict);
     }
 
-    /// Compute the report for a run that covered [0, total_seconds].
-    Report report(double total_seconds) const;
+    /// Publish the run's exposure into `reg` (adv.* names) for a run that
+    /// covered [0, total_seconds]:
+    ///  - identity_sightings: an identity handle tied to a location;
+    ///  - pseudonym_sightings: only an unlinkable pseudonym exposed;
+    ///  - mac_pseudonym_links: successful §3.2 pseudonym->MAC bindings;
+    ///  - nodes_ever_localized;
+    ///  - index_linkages / relationship_pairs_learned: §3.3 index-dictionary
+    ///    matches on observed ALS queries, each revealing an (updater,
+    ///    requester) relationship;
+    ///  - gauge mean_tracking_coverage: mean over nodes of (windows with an
+    ///    identity-linked sighting) / (total windows), "how continuously can
+    ///    I track people".
+    /// Frames seen are the feed's count (adv.frames_observed), published
+    /// once by whoever owns the feed.
+    void publish_metrics(obs::MetricsRegistry& reg, double total_seconds) const;
 
   private:
     void observe(const phy::Frame& frame, double t_seconds);
@@ -82,7 +78,6 @@ class Eavesdropper {
     std::size_t node_count_;
     Params params_;
 
-    std::uint64_t frames_observed_{0};
     std::uint64_t identity_sightings_{0};
     std::uint64_t pseudonym_sightings_{0};
     std::uint64_t mac_pseudonym_links_{0};

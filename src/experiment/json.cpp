@@ -4,77 +4,7 @@ namespace geoanon::experiment {
 
 void result_to_json(JsonWriter& w, const workload::ScenarioResult& r, bool include_perf) {
     w.begin_object();
-    w.key("app_sent").value(r.app_sent);
-    w.key("app_delivered").value(r.app_delivered);
-    w.key("delivery_fraction").value(r.delivery_fraction);
-    w.key("avg_latency_ms").value(r.avg_latency_ms);
-    w.key("p50_latency_ms").value(r.p50_latency_ms);
-    w.key("p95_latency_ms").value(r.p95_latency_ms);
-    w.key("avg_hops").value(r.avg_hops);
-
-    w.key("mac_collisions").value(r.mac_collisions);
-    w.key("mac_retries").value(r.mac_retries);
-    w.key("mac_drop_retry").value(r.mac_drop_retry);
-    w.key("rts_sent").value(r.rts_sent);
-    w.key("data_frames").value(r.data_frames);
-    w.key("transmissions").value(r.transmissions);
-
-    w.key("drop_no_route").value(r.drop_no_route);
-    w.key("drop_unreachable").value(r.drop_unreachable);
-    w.key("drop_no_location").value(r.drop_no_location);
-    w.key("nl_retransmissions").value(r.nl_retransmissions);
-    w.key("last_attempts").value(r.last_attempts);
-    w.key("trapdoor_attempts").value(r.trapdoor_attempts);
-    w.key("trapdoor_opens").value(r.trapdoor_opens);
-    w.key("acks_sent").value(r.acks_sent);
-    w.key("implicit_acks").value(r.implicit_acks);
-    w.key("hello_sent").value(r.hello_sent);
-    w.key("hello_suppressed").value(r.hello_suppressed);
-    w.key("pseudonym_rotations").value(r.pseudonym_rotations);
-    w.key("cert_fetches").value(r.cert_fetches);
-    w.key("control_bytes").value(r.control_bytes);
-    w.key("data_bytes").value(r.data_bytes);
-    w.key("perimeter_entries").value(r.perimeter_entries);
-    w.key("perimeter_recoveries").value(r.perimeter_recoveries);
-    w.key("perimeter_forwards").value(r.perimeter_forwards);
-
-    w.key("ls").begin_object();
-    w.key("updates_sent").value(r.ls.updates_sent);
-    w.key("update_bytes").value(r.ls.update_bytes);
-    w.key("queries_sent").value(r.ls.queries_sent);
-    w.key("query_bytes").value(r.ls.query_bytes);
-    w.key("replies_sent").value(r.ls.replies_sent);
-    w.key("reply_bytes").value(r.ls.reply_bytes);
-    w.key("replications").value(r.ls.replications);
-    w.key("store_hits").value(r.ls.store_hits);
-    w.key("store_misses").value(r.ls.store_misses);
-    w.key("resolved_ok").value(r.ls.resolved_ok);
-    w.key("resolved_fail").value(r.ls.resolved_fail);
-    w.key("decrypt_attempts").value(r.ls.decrypt_attempts);
-    w.key("query_reissues").value(r.ls.query_reissues);
-    w.key("query_fallbacks").value(r.ls.query_fallbacks);
-    w.key("late_replies").value(r.ls.late_replies);
-    w.key("pending_wiped").value(r.ls.pending_wiped);
-    w.key("store_expired").value(r.ls.store_expired);
-    w.key("digests_sent").value(r.ls.digests_sent);
-    w.key("digest_bytes").value(r.ls.digest_bytes);
-    w.key("repairs_sent").value(r.ls.repairs_sent);
-    w.key("handoffs").value(r.ls.handoffs);
-    w.key("read_repairs").value(r.ls.read_repairs);
-    w.key("duplicates_suppressed").value(r.ls.duplicates_suppressed);
-    w.key("stale_reads").value(r.ls.stale_reads);
-    w.end_object();
-
-    w.key("adversary").begin_object();
-    w.key("frames_observed").value(r.adversary.frames_observed);
-    w.key("identity_sightings").value(r.adversary.identity_sightings);
-    w.key("pseudonym_sightings").value(r.adversary.pseudonym_sightings);
-    w.key("mac_pseudonym_links").value(r.adversary.mac_pseudonym_links);
-    w.key("nodes_ever_localized").value(r.adversary.nodes_ever_localized);
-    w.key("index_linkages").value(r.adversary.index_linkages);
-    w.key("relationship_pairs_learned").value(r.adversary.relationship_pairs_learned);
-    w.key("mean_tracking_coverage").value(r.adversary.mean_tracking_coverage);
-    w.end_object();
+    w.key("schema_version").value(kResultSchemaVersion);
 
     w.key("attack").begin_object();
     w.key("hello_observations").value(r.attack.hello_observations);
@@ -115,16 +45,6 @@ void result_to_json(JsonWriter& w, const workload::ScenarioResult& r, bool inclu
     w.end_object();
 
     w.key("resilience").begin_object();
-    w.key("faults_injected").value(r.resilience.faults_injected);
-    w.key("node_crashes").value(r.resilience.node_crashes);
-    w.key("node_recoveries").value(r.resilience.node_recoveries);
-    w.key("als_outages").value(r.resilience.als_outages);
-    w.key("frames_lost_node_down").value(r.resilience.frames_lost_node_down);
-    w.key("frames_lost_loss_burst").value(r.resilience.frames_lost_loss_burst);
-    w.key("frames_lost_jam").value(r.resilience.frames_lost_jam);
-    w.key("frames_lost_partition").value(r.resilience.frames_lost_partition);
-    w.key("server_flap_cycles").value(r.resilience.server_flap_cycles);
-    w.key("ls_pending_wiped").value(r.resilience.ls_pending_wiped);
     w.key("recoveries_measured").value(r.resilience.recoveries_measured);
     w.key("recovery_latency_p50_s").value(r.resilience.recovery_latency_p50_s);
     w.key("recovery_latency_p95_s").value(r.resilience.recovery_latency_p95_s);
@@ -132,8 +52,8 @@ void result_to_json(JsonWriter& w, const workload::ScenarioResult& r, bool inclu
     w.key("recovery_flap_p95_s").value(r.resilience.recovery_flap_p95_s);
     w.end_object();
 
-    // Full registry snapshot: already name-sorted (std::map), so the block
-    // is byte-stable for identical runs.
+    // The registry snapshot, every counter of the run: already name-sorted
+    // (std::map), so the block is byte-stable for identical runs.
     w.key("metrics").begin_object();
     w.key("counters").begin_object();
     for (const auto& [name, v] : r.metrics.counters) w.key(name).value(v);

@@ -16,6 +16,9 @@ using util::JsonWriter;
 using util::json_escape;
 using util::write_text_file;
 
+/// Version of the result object below; bump it whenever its keys change.
+inline constexpr std::uint64_t kResultSchemaVersion = 2;
+
 /// Serialize every deterministic field of a ScenarioResult. With
 /// `include_perf`, the host-side perf block (wall-clock, events/sec, peak
 /// queue depth) is appended; leave it off when comparing runs for equality

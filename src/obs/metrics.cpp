@@ -8,6 +8,18 @@ std::uint64_t MetricsSnapshot::counter(const std::string& name) const {
     return 0;
 }
 
+double MetricsSnapshot::gauge(const std::string& name) const {
+    for (const auto& [k, v] : gauges)
+        if (k == name) return v;
+    return 0.0;
+}
+
+MetricsSnapshot::Hist MetricsSnapshot::histogram(const std::string& name) const {
+    for (const Hist& h : histograms)
+        if (h.name == name) return h;
+    return {};
+}
+
 void MetricsRegistry::add(const std::string& name, std::uint64_t delta) {
     const util::MutexLock lock(mu_);
     counters_[name] += delta;
@@ -20,12 +32,13 @@ void MetricsRegistry::set_gauge(const std::string& name, double v) {
 
 void MetricsRegistry::observe(const std::string& name, double x) {
     const util::MutexLock lock(mu_);
-    hists_[name].observe(x);
+    hists_[name].add(x);
 }
 
 void MetricsRegistry::observe_all(const std::string& name, const util::Sampler& s) {
     const util::MutexLock lock(mu_);
-    hists_[name].observe_all(s);
+    util::Sampler& h = hists_[name];
+    for (const double x : s.samples()) h.add(x);
 }
 
 std::uint64_t MetricsRegistry::counter(const std::string& name) const {
@@ -45,13 +58,13 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     for (const auto& [name, h] : hists_) {
         MetricsSnapshot::Hist out;
         out.name = name;
-        out.count = h.stat().count();
-        out.mean = h.stat().mean();
-        out.min = h.stat().min();
-        out.max = h.stat().max();
-        out.p50 = h.sampler().percentile(50);
-        out.p95 = h.sampler().percentile(95);
-        out.p99 = h.sampler().percentile(99);
+        out.count = h.count();
+        out.mean = h.mean();
+        out.min = h.min();
+        out.max = h.max();
+        out.p50 = h.percentile(50);
+        out.p95 = h.percentile(95);
+        out.p99 = h.percentile(99);
         snap.histograms.push_back(std::move(out));
     }
     return snap;

@@ -11,27 +11,6 @@
 
 namespace geoanon::obs {
 
-/// One observed distribution: O(1) running moments (RunningStat) plus the
-/// full sample set for exact percentiles (Sampler).
-class Histogram {
-  public:
-    void observe(double x) {
-        stat_.add(x);
-        sampler_.add(x);
-    }
-    /// Fold a whole Sampler in (e.g. a layer-owned latency sampler).
-    void observe_all(const util::Sampler& s) {
-        for (const double x : s.samples()) observe(x);
-    }
-
-    const util::RunningStat& stat() const { return stat_; }
-    const util::Sampler& sampler() const { return sampler_; }
-
-  private:
-    util::RunningStat stat_;
-    util::Sampler sampler_;
-};
-
 /// Point-in-time copy of a registry, sorted by name — the deterministic
 /// form stored in ScenarioResult and serialized to JSON.
 struct MetricsSnapshot {
@@ -50,8 +29,11 @@ struct MetricsSnapshot {
     std::vector<std::pair<std::string, double>> gauges;
     std::vector<Hist> histograms;
 
-    /// Counter lookup; 0 when absent (snapshots never store zero-defaults).
+    /// Lookups by name; 0 (or an all-zero Hist) when the name was never
+    /// published.
     std::uint64_t counter(const std::string& name) const;
+    double gauge(const std::string& name) const;
+    Hist histogram(const std::string& name) const;
 };
 
 /// Name-keyed counters/gauges/histograms every layer publishes into at the
@@ -81,7 +63,9 @@ class MetricsRegistry {
     mutable util::Mutex mu_;
     std::map<std::string, std::uint64_t> counters_ GEOANON_GUARDED_BY(mu_);
     std::map<std::string, double> gauges_ GEOANON_GUARDED_BY(mu_);
-    std::map<std::string, Histogram> hists_ GEOANON_GUARDED_BY(mu_);
+    /// One sample store per histogram: count, mean, min, max and the
+    /// percentiles all come from it.
+    std::map<std::string, util::Sampler> hists_ GEOANON_GUARDED_BY(mu_);
 };
 
 }  // namespace geoanon::obs

@@ -1,40 +1,12 @@
 #pragma once
 
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 
 namespace geoanon::obs {
-
-/// Minimal recursive-descent JSON value — just enough to read back the
-/// Chrome trace export (and to validate third-party edits of it). Objects
-/// keep insertion order; numbers stay double (uint64 details travel as hex
-/// strings precisely so this stays lossless).
-struct JsonValue {
-    enum class Kind : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
-
-    Kind kind{Kind::kNull};
-    bool boolean{false};
-    double number{0.0};
-    /// Raw source token of a kNumber. `number` is a double and silently
-    /// rounds integers above 2^53 (packet uids are full 64-bit PRP outputs);
-    /// exact u64 extraction re-parses this instead.
-    std::string number_raw;
-    std::string string;
-    std::vector<JsonValue> array;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    /// First member with this key, or nullptr. O(members).
-    const JsonValue* find(const std::string& key) const;
-};
-
-/// Parse `text`; returns false and sets `error` (with offset) on malformed
-/// input. Trailing garbage after the top-level value is an error.
-bool parse_json(const std::string& text, JsonValue& out, std::string& error);
 
 /// A Chrome-trace file decoded back into typed events.
 struct LoadedTrace {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -125,7 +124,6 @@ void Radio::energy_end(std::uint64_t tx_id) {
 }
 
 Channel::Channel(sim::Simulator& sim, PhyParams params) : sim_(sim), params_(params) {
-    brute_force_ = params_.brute_force || std::getenv("GEOANON_BRUTE_FORCE_CHANNEL") != nullptr;
     const double slack_m =
         params_.grid_max_speed_mps * params_.grid_rebucket_interval.to_seconds();
     cell_m_ = std::max(1.0, params_.cs_range_m + slack_m);
@@ -268,7 +266,7 @@ void Channel::start_tx(Radio* sender, const Frame& frame) {
     // captures 28 bytes (inline in sim::Callback) and steady-state
     // transmissions allocate nothing.
     const std::uint32_t slot = acquire_tx_slot();
-    if (brute_force_) {
+    if (params_.brute_force) {
         // Validation path only (every radio is a candidate), so the full
         // upper bound is the right reservation.
         tx_slots_[slot].affected.reserve(radios_.empty() ? 0 : radios_.size() - 1);

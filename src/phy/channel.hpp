@@ -42,8 +42,8 @@ struct PhyParams {
     double grid_max_speed_mps{50.0};
 
     /// Escape hatch: scan every registered radio per transmission instead of
-    /// using the spatial hash grid. Also enabled (for a whole process) by the
-    /// GEOANON_BRUTE_FORCE_CHANNEL environment variable.
+    /// using the spatial hash grid (the reference side of the grid
+    /// equivalence tests and of bench/scaling_grid).
     bool brute_force{false};
 
     /// Time on air for a link-layer frame of `bytes` bytes.
@@ -239,9 +239,9 @@ class Channel {
     using DropFn = std::function<bool(const Frame&, const Vec2& tx_pos, const Vec2& rx_pos)>;
     void set_drop_model(DropFn drop) { drop_ = std::move(drop); }
 
-    /// True when this channel scans all radios per transmission (config flag
-    /// or GEOANON_BRUTE_FORCE_CHANNEL) instead of querying the spatial grid.
-    bool brute_force() const { return brute_force_; }
+    /// True when this channel scans all radios per transmission
+    /// (PhyParams::brute_force) instead of querying the spatial grid.
+    bool brute_force() const { return params_.brute_force; }
 
     /// Fold channel-wide counters into the run metrics (phy.transmissions,
     /// phy.deliveries, phy.collisions, phy.impaired).
@@ -303,7 +303,6 @@ class Channel {
     std::uint32_t tx_free_{kNilSlot};
 
     // Spatial hash grid ---------------------------------------------------
-    bool brute_force_{false};
     double cell_m_{1.0};
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets_;
     /// Radios registered since the last sweep; always candidates until the

@@ -25,8 +25,7 @@ inline constexpr EventId kInvalidEvent = 0;
 /// Event-queue kernel selection. The timer wheel is the production kernel;
 /// the binary heap is the pre-wheel kernel kept as a differential baseline
 /// (bench/scaling_grid --differential) and escape hatch, selectable per
-/// process with the GEOANON_HEAP_QUEUE environment variable — mirroring
-/// GEOANON_BRUTE_FORCE_CHANNEL for the spatial index. Both kernels pop
+/// process with the GEOANON_HEAP_QUEUE environment variable. Both kernels pop
 /// events in exactly (time, id) order, so every run is bit-identical
 /// between them.
 enum class QueueKind {

@@ -99,75 +99,27 @@ struct ScenarioConfig {
 
 /// Aggregated outcome of one run.
 struct ScenarioResult {
-    // Application-level (the paper's two metrics, §5)
-    std::uint64_t app_sent{0};
-    std::uint64_t app_delivered{0};   ///< unique (flow, seq) at destination
-    double delivery_fraction{0.0};
-    double avg_latency_ms{0.0};
-    double p50_latency_ms{0.0};
-    double p95_latency_ms{0.0};
-    double avg_hops{0.0};
-
-    // MAC / PHY aggregates
-    std::uint64_t mac_collisions{0};
-    std::uint64_t mac_retries{0};
-    std::uint64_t mac_drop_retry{0};
-    std::uint64_t rts_sent{0};
-    std::uint64_t data_frames{0};
-    std::uint64_t transmissions{0};
-
-    // Agent aggregates
-    std::uint64_t drop_no_route{0};
-    std::uint64_t drop_unreachable{0};
-    std::uint64_t drop_no_location{0};
-    std::uint64_t nl_retransmissions{0};
-    std::uint64_t last_attempts{0};
-    std::uint64_t trapdoor_attempts{0};
-    std::uint64_t trapdoor_opens{0};
-    std::uint64_t acks_sent{0};
-    std::uint64_t implicit_acks{0};
-    std::uint64_t hello_sent{0};
-    std::uint64_t hello_suppressed{0};
-    std::uint64_t pseudonym_rotations{0};
-    std::uint64_t cert_fetches{0};
-    std::uint64_t control_bytes{0};
-    std::uint64_t data_bytes{0};
-    std::uint64_t perimeter_entries{0};
-    std::uint64_t perimeter_recoveries{0};
-    std::uint64_t perimeter_forwards{0};
-
-    // Location service aggregates (when enabled)
-    routing::LocationService::Stats ls{};
-
     /// Everything every layer published into the run's MetricsRegistry,
-    /// sorted by name. The named fields above are derived from this snapshot
-    /// (see ScenarioRunner::aggregate) and kept for API/JSON stability.
+    /// sorted by name. This is the result's only counter store: each name is
+    /// written once, by its layer's publish_metrics (see DESIGN.md §11).
     obs::MetricsSnapshot metrics{};
 
-    // Adversary (when attached)
-    adversary::Eavesdropper::Report adversary{};
+    std::uint64_t counter(const std::string& name) const { return metrics.counter(name); }
+    /// The paper's Figure 1(a) metric: app.delivered / app.sent (unique
+    /// (flow, seq) at the destination); 0 when nothing was sent.
+    double delivery_fraction() const;
+
     /// Offline linking/trajectory attack (when attach_observer is on).
     adversary::AttackReport attack{};
 
-    // Protocol invariant counters (when check_invariants is on)
+    // Protocol invariant counters (when check_invariants is on). Kept out of
+    // `metrics` so checked and unchecked runs publish identical snapshots.
     analysis::InvariantChecker::Counters invariants{};
 
-    /// Resilience counters (populated when config.faults is non-empty).
+    /// Recovery latency (populated when config.faults is non-empty): crash
+    /// end until the node's routing state is warm again (agent probe).
+    /// Censored samples are excluded. The fault.* counters are in `metrics`.
     struct Resilience {
-        std::uint64_t faults_injected{0};
-        std::uint64_t node_crashes{0};
-        std::uint64_t node_recoveries{0};
-        std::uint64_t als_outages{0};
-        /// Packets lost per fault class. Node-down losses are frames that
-        /// reached a disabled radio; burst/jam losses are channel drops.
-        std::uint64_t frames_lost_node_down{0};
-        std::uint64_t frames_lost_loss_burst{0};
-        std::uint64_t frames_lost_jam{0};
-        std::uint64_t frames_lost_partition{0};
-        std::uint64_t server_flap_cycles{0};
-        std::uint64_t ls_pending_wiped{0};  ///< queries lost to requester crashes
-        /// Recovery latency: crash-end until the node's routing state is
-        /// warm again (agent probe). Censored samples are excluded.
         std::uint64_t recoveries_measured{0};
         double recovery_latency_p50_s{0.0};
         double recovery_latency_p95_s{0.0};

@@ -10,7 +10,8 @@ using workload::ScenarioConfig;
 using workload::ScenarioResult;
 using workload::ScenarioRunner;
 
-ScenarioResult run(Scheme scheme, bool anonymous_mac = true, std::uint64_t seed = 3) {
+ScenarioResult run(Scheme scheme, bool anonymous_mac = true, std::uint64_t seed = 3,
+                   bool observer = false) {
     ScenarioConfig cfg;
     cfg.scheme = scheme;
     cfg.num_nodes = 40;
@@ -19,6 +20,7 @@ ScenarioResult run(Scheme scheme, bool anonymous_mac = true, std::uint64_t seed 
     cfg.seed = seed;
     cfg.anonymous_mac = anonymous_mac;
     cfg.attach_eavesdropper = true;
+    cfg.attach_observer = observer;
     ScenarioRunner runner(cfg);
     return runner.run();
 }
@@ -27,26 +29,26 @@ TEST(Adversary, GpsrExposesEveryone) {
     const auto r = run(Scheme::kGpsrGreedy);
     // Every node beacons its identity+location every 1.5 s: the passive
     // sniffer localizes all of them, nearly continuously (§2's threat).
-    EXPECT_EQ(r.adversary.nodes_ever_localized, 40u);
-    EXPECT_GT(r.adversary.identity_sightings, 1000u);
-    EXPECT_GT(r.adversary.mean_tracking_coverage, 0.9);
+    EXPECT_EQ(r.counter("adv.nodes_ever_localized"), 40u);
+    EXPECT_GT(r.counter("adv.identity_sightings"), 1000u);
+    EXPECT_GT(r.metrics.gauge("adv.mean_tracking_coverage"), 0.9);
 }
 
 TEST(Adversary, AgfwExposesNothing) {
     const auto r = run(Scheme::kAgfwAck);
     // §4: "no node exposes its identity and location simultaneously".
-    EXPECT_EQ(r.adversary.identity_sightings, 0u);
-    EXPECT_EQ(r.adversary.nodes_ever_localized, 0u);
-    EXPECT_EQ(r.adversary.mac_pseudonym_links, 0u);
-    EXPECT_EQ(r.adversary.mean_tracking_coverage, 0.0);
+    EXPECT_EQ(r.counter("adv.identity_sightings"), 0u);
+    EXPECT_EQ(r.counter("adv.nodes_ever_localized"), 0u);
+    EXPECT_EQ(r.counter("adv.mac_pseudonym_links"), 0u);
+    EXPECT_EQ(r.metrics.gauge("adv.mean_tracking_coverage"), 0.0);
     // The sniffer still sees plenty of (unlinkable) pseudonymous traffic.
-    EXPECT_GT(r.adversary.pseudonym_sightings, 1000u);
+    EXPECT_GT(r.counter("adv.pseudonym_sightings"), 1000u);
 }
 
 TEST(Adversary, AgfwNoAckAlsoExposesNothing) {
     const auto r = run(Scheme::kAgfwNoAck);
-    EXPECT_EQ(r.adversary.identity_sightings, 0u);
-    EXPECT_EQ(r.adversary.nodes_ever_localized, 0u);
+    EXPECT_EQ(r.counter("adv.identity_sightings"), 0u);
+    EXPECT_EQ(r.counter("adv.nodes_ever_localized"), 0u);
 }
 
 TEST(Adversary, MacAddressLeakEnablesCorrelationAttack) {
@@ -55,16 +57,17 @@ TEST(Adversary, MacAddressLeakEnablesCorrelationAttack) {
     // == same uid) and binds pseudonyms to the persistent MAC, after which
     // hellos localize the victim.
     const auto r = run(Scheme::kAgfwAck, /*anonymous_mac=*/false);
-    EXPECT_GT(r.adversary.mac_pseudonym_links, 0u);
-    EXPECT_GT(r.adversary.identity_sightings, 0u);
-    EXPECT_GT(r.adversary.nodes_ever_localized, 0u);
+    EXPECT_GT(r.counter("adv.mac_pseudonym_links"), 0u);
+    EXPECT_GT(r.counter("adv.identity_sightings"), 0u);
+    EXPECT_GT(r.counter("adv.nodes_ever_localized"), 0u);
 }
 
 TEST(Adversary, AnonymousMacClosesTheLeak) {
     const auto with_leak = run(Scheme::kAgfwAck, false, 5);
     const auto sealed = run(Scheme::kAgfwAck, true, 5);
-    EXPECT_GT(with_leak.adversary.identity_sightings, sealed.adversary.identity_sightings);
-    EXPECT_EQ(sealed.adversary.mac_pseudonym_links, 0u);
+    EXPECT_GT(with_leak.counter("adv.identity_sightings"),
+              sealed.counter("adv.identity_sightings"));
+    EXPECT_EQ(sealed.counter("adv.mac_pseudonym_links"), 0u);
 }
 
 TEST(Adversary, IndexedAlsLeaksQueryRelationships) {
@@ -83,22 +86,33 @@ TEST(Adversary, IndexedAlsLeaksQueryRelationships) {
     cfg.attach_eavesdropper = true;
     cfg.location_service = routing::LocationService::Mode::kAnonymous;
     const auto indexed = ScenarioRunner(cfg).run();
-    EXPECT_GT(indexed.adversary.index_linkages, 0u);
-    EXPECT_GT(indexed.adversary.relationship_pairs_learned, 0u);
+    EXPECT_GT(indexed.counter("adv.index_linkages"), 0u);
+    EXPECT_GT(indexed.counter("adv.relationship_pairs_learned"), 0u);
     // Still zero identity-LOCATION linkage: the leak is relational only.
-    EXPECT_EQ(indexed.adversary.identity_sightings, 0u);
+    EXPECT_EQ(indexed.counter("adv.identity_sightings"), 0u);
 
     // The index-free alternative closes exactly this channel (at its higher
     // communication/computation cost, see bench/als_overhead).
     cfg.location_service = routing::LocationService::Mode::kAnonymousIndexFree;
     const auto index_free = ScenarioRunner(cfg).run();
-    EXPECT_EQ(index_free.adversary.index_linkages, 0u);
+    EXPECT_EQ(index_free.counter("adv.index_linkages"), 0u);
 }
 
 TEST(Adversary, FramesObservedCountsEverything) {
     const auto r = run(Scheme::kGpsrGreedy);
-    EXPECT_GT(r.adversary.frames_observed, r.adversary.identity_sightings / 2);
-    EXPECT_GE(r.adversary.frames_observed, r.transmissions / 2);
+    EXPECT_GT(r.counter("adv.frames_observed"), r.counter("adv.identity_sightings") / 2);
+    EXPECT_GE(r.counter("adv.frames_observed"), r.counter("phy.transmissions") / 2);
+}
+
+TEST(Adversary, FeedCountsArePublishedOnceWithBothAdversaries) {
+    // The eavesdropper and the offline observer share one feed; attaching
+    // both must not count its frames twice.
+    const auto alone = run(Scheme::kGpsrGreedy);
+    const auto both = run(Scheme::kGpsrGreedy, true, 3, /*observer=*/true);
+    EXPECT_GT(alone.counter("adv.frames_observed"), 0u);
+    EXPECT_EQ(both.counter("adv.frames_observed"), alone.counter("adv.frames_observed"));
+    EXPECT_EQ(both.counter("adv.identity_sightings"), alone.counter("adv.identity_sightings"));
+    EXPECT_GT(both.counter("adv.hello_observations"), 0u);
 }
 
 }  // namespace

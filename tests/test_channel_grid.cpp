@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -255,21 +254,6 @@ TEST(ChannelGrid, BruteForceConfigFlag) {
     tx.start_tx(rig.frame());
     rig.sim.run();
     EXPECT_EQ(rig.received[1].size(), 1u);
-}
-
-TEST(ChannelGrid, BruteForceEnvVar) {
-    ::setenv("GEOANON_BRUTE_FORCE_CHANNEL", "1", 1);
-    {
-        sim::Simulator sim;
-        Channel channel(sim, PhyParams{});
-        EXPECT_TRUE(channel.brute_force());
-    }
-    ::unsetenv("GEOANON_BRUTE_FORCE_CHANNEL");
-    {
-        sim::Simulator sim;
-        Channel channel(sim, PhyParams{});
-        EXPECT_FALSE(channel.brute_force());
-    }
 }
 
 }  // namespace

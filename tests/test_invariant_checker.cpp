@@ -84,10 +84,11 @@ TEST(InvariantChecker, CheckerIsPassive) {
     off.check_invariants = false;
     const ScenarioResult r_on = ScenarioRunner(on).run();
     const ScenarioResult r_off = ScenarioRunner(off).run();
-    EXPECT_EQ(r_on.app_sent, r_off.app_sent);
-    EXPECT_EQ(r_on.app_delivered, r_off.app_delivered);
-    EXPECT_EQ(r_on.transmissions, r_off.transmissions);
-    EXPECT_DOUBLE_EQ(r_on.avg_latency_ms, r_off.avg_latency_ms);
+    EXPECT_EQ(r_on.counter("app.sent"), r_off.counter("app.sent"));
+    EXPECT_EQ(r_on.counter("app.delivered"), r_off.counter("app.delivered"));
+    EXPECT_EQ(r_on.counter("phy.transmissions"), r_off.counter("phy.transmissions"));
+    EXPECT_DOUBLE_EQ(r_on.metrics.histogram("app.latency_ms").mean,
+                     r_off.metrics.histogram("app.latency_ms").mean);
 }
 
 TEST(InvariantChecker, DeterministicAcrossRuns) {

@@ -108,6 +108,26 @@ TEST(MetricsRegistry, CountersGaugesHistograms) {
     EXPECT_DOUBLE_EQ(snap.histograms[0].max, 100.0);
 }
 
+TEST(MetricsRegistry, HistogramStatsComeFromTheSamplerAlone) {
+    // The snapshot's mean is Sampler::mean (summed in observation order), so
+    // a histogram folded in from a layer's sampler reproduces it bit for bit.
+    util::Sampler s;
+    for (const double x : {0.1, 7.3, 2.2, 1e-9, 5.5, 3.3}) s.add(x);
+    obs::MetricsRegistry reg;
+    reg.observe_all("x", s);
+    reg.set_gauge("g", 0.25);
+    const obs::MetricsSnapshot snap = reg.snapshot();
+    const auto h = snap.histogram("x");
+    EXPECT_EQ(h.count, s.count());
+    EXPECT_EQ(h.mean, s.mean());
+    EXPECT_EQ(h.min, s.min());
+    EXPECT_EQ(h.max, s.max());
+    EXPECT_EQ(h.p95, s.percentile(95));
+    EXPECT_EQ(snap.gauge("g"), 0.25);
+    EXPECT_EQ(snap.gauge("absent"), 0.0);
+    EXPECT_EQ(snap.histogram("absent").count, 0u);
+}
+
 TEST(MetricsRegistry, SnapshotIsNameSorted) {
     obs::MetricsRegistry reg;
     reg.add("zeta", 1);
@@ -211,9 +231,9 @@ TEST(TraceScenario, EveryUndeliveredPacketHasCauseAndHopChain) {
         ++data;
         if (f.status == obs::Flight::Status::kDelivered) ++delivered;
     }
-    EXPECT_EQ(data, r.app_sent);
+    EXPECT_EQ(data, r.counter("app.sent"));
     // Delivered flights = unique delivered uids = unique (flow, seq).
-    EXPECT_EQ(delivered, r.app_delivered);
+    EXPECT_EQ(delivered, r.counter("app.delivered"));
 
     const auto lost = index.undelivered_data();
     EXPECT_EQ(lost.size(), data - delivered);
@@ -224,17 +244,27 @@ TEST(TraceScenario, EveryUndeliveredPacketHasCauseAndHopChain) {
     }
 }
 
-TEST(TraceScenario, MetricsSnapshotMatchesLegacyFields) {
+TEST(TraceScenario, MetricsSnapshotMatchesLayerStats) {
     workload::ScenarioRunner runner(traced_agfw_config());
     const workload::ScenarioResult r = runner.run();
-    // Legacy fields are derived from the registry; spot-check the mapping.
-    EXPECT_EQ(r.app_sent, r.metrics.counter("app.sent"));
-    EXPECT_EQ(r.app_delivered, r.metrics.counter("app.delivered"));
-    EXPECT_EQ(r.mac_retries, r.metrics.counter("mac.retries"));
-    EXPECT_EQ(r.transmissions, r.metrics.counter("phy.transmissions"));
-    EXPECT_EQ(r.acks_sent, r.metrics.counter("agfw.acks_sent"));
-    EXPECT_EQ(r.hello_sent, r.metrics.counter("agfw.hello_sent"));
-    EXPECT_GT(r.metrics.counter("trace.recorded"), 0u);
+    // Each layer publishes its own Stats into the snapshot; spot-check the
+    // mapping against the live layers.
+    std::uint64_t retries = 0, acks = 0, hellos = 0;
+    for (net::NodeId id = 0; id < runner.network().size(); ++id) {
+        retries += runner.network().node(id).mac().stats().retries;
+        acks += runner.agfw_agent(id)->stats().acks_sent;
+        hellos += runner.agfw_agent(id)->stats().hello_sent;
+    }
+    EXPECT_EQ(r.counter("mac.retries"), retries);
+    EXPECT_EQ(r.counter("agfw.acks_sent"), acks);
+    EXPECT_EQ(r.counter("agfw.hello_sent"), hellos);
+    EXPECT_EQ(r.counter("phy.transmissions"),
+              runner.network().channel().stats().transmissions);
+    EXPECT_GT(r.counter("trace.recorded"), 0u);
+    // Latency and hops come from the delivery samplers, one sample each.
+    EXPECT_EQ(r.metrics.histogram("app.latency_ms").count, r.counter("app.delivered"));
+    EXPECT_EQ(r.metrics.histogram("app.hops").count, r.counter("app.delivered"));
+    EXPECT_EQ(r.metrics.histogram("no.such.histogram").count, 0u);
 }
 
 TEST(TraceScenario, TracingDoesNotPerturbTheRun) {
@@ -246,11 +276,18 @@ TEST(TraceScenario, TracingDoesNotPerturbTheRun) {
     workload::ScenarioRunner untraced(cfg);
     const workload::ScenarioResult b = untraced.run();
 
-    EXPECT_EQ(a.app_sent, b.app_sent);
-    EXPECT_EQ(a.app_delivered, b.app_delivered);
-    EXPECT_EQ(a.transmissions, b.transmissions);
     EXPECT_EQ(a.events_processed, b.events_processed);
-    EXPECT_DOUBLE_EQ(a.avg_latency_ms, b.avg_latency_ms);
+    // Everything the layers counted is identical; only the recorder's own
+    // trace.* counters differ.
+    const auto untraced_counters = [](const workload::ScenarioResult& r) {
+        auto c = r.metrics.counters;
+        std::erase_if(c, [](const auto& kv) { return kv.first.starts_with("trace."); });
+        return c;
+    };
+    EXPECT_EQ(untraced_counters(a), untraced_counters(b));
+    EXPECT_EQ(a.metrics.gauges, b.metrics.gauges);
+    EXPECT_DOUBLE_EQ(a.metrics.histogram("app.latency_ms").mean,
+                     b.metrics.histogram("app.latency_ms").mean);
 }
 
 // ---------------------------------------------------------------- export
@@ -319,6 +356,9 @@ TEST(TraceRead, RejectsMalformedInput) {
         "\"ts\":0,\"pid\":0,\"tid\":0,\"s\":\"t\",\"args\":{}}]}";
     EXPECT_FALSE(obs::load_chrome_trace(bad, out, error));
     EXPECT_NE(error.find("traceEvents[0]"), std::string::npos);
+    // Hostile nesting is a clean error, not a stack overflow.
+    EXPECT_FALSE(obs::load_chrome_trace(std::string(1'000'000, '['), out, error));
+    EXPECT_NE(error.find("nesting too deep"), std::string::npos);
 }
 
 // ---------------------------------------------------------------- sweep

@@ -10,6 +10,10 @@ using workload::ScenarioConfig;
 using workload::ScenarioResult;
 using workload::ScenarioRunner;
 
+double mean_latency_ms(const ScenarioResult& r) {
+    return r.metrics.histogram("app.latency_ms").mean;
+}
+
 ScenarioConfig small_config(Scheme scheme, std::uint64_t seed = 1) {
     ScenarioConfig cfg;
     cfg.scheme = scheme;
@@ -29,14 +33,14 @@ TEST(Scenario, SchemeNames) {
 TEST(Scenario, GpsrBaselineDeliversWell) {
     ScenarioRunner runner(small_config(Scheme::kGpsrGreedy));
     const ScenarioResult r = runner.run();
-    EXPECT_GT(r.app_sent, 3000u);
+    EXPECT_GT(r.counter("app.sent"), 3000u);
     // 40 nodes on the 1500x300 strip is on the sparse side: greedy local
     // maxima cost a few percent even for the baseline.
-    EXPECT_GT(r.delivery_fraction, 0.8);
-    EXPECT_GT(r.avg_latency_ms, 0.0);
-    EXPECT_GT(r.avg_hops, 1.0);
-    EXPECT_GT(r.rts_sent, 0u);       // RTS/CTS in use
-    EXPECT_EQ(r.acks_sent, 0u);      // no NL acks in GPSR
+    EXPECT_GT(r.delivery_fraction(), 0.8);
+    EXPECT_GT(mean_latency_ms(r), 0.0);
+    EXPECT_GT(r.metrics.histogram("app.hops").mean, 1.0);
+    EXPECT_GT(r.counter("mac.rts_sent"), 0u);   // RTS/CTS in use
+    EXPECT_EQ(r.counter("agfw.acks_sent"), 0u);  // no NL acks in GPSR
     // Wire discipline holds for the baseline too.
     EXPECT_GT(r.invariants.packets_checked, 0u);
     EXPECT_EQ(r.invariants.violations(), 0u);
@@ -46,10 +50,10 @@ TEST(Scenario, AgfwAckMatchesGpsrDelivery) {
     const ScenarioResult gpsr = ScenarioRunner(small_config(Scheme::kGpsrGreedy)).run();
     const ScenarioResult agfw = ScenarioRunner(small_config(Scheme::kAgfwAck)).run();
     // Figure 1(a): AGFW with ACK has "almost same performance" as GPSR.
-    EXPECT_NEAR(agfw.delivery_fraction, gpsr.delivery_fraction, 0.05);
-    EXPECT_EQ(agfw.rts_sent, 0u);    // anonymous broadcasts: no handshake
-    EXPECT_GT(agfw.acks_sent, 0u);
-    EXPECT_GT(agfw.trapdoor_opens, 0u);
+    EXPECT_NEAR(agfw.delivery_fraction(), gpsr.delivery_fraction(), 0.05);
+    EXPECT_EQ(agfw.counter("mac.rts_sent"), 0u);  // anonymous broadcasts: no handshake
+    EXPECT_GT(agfw.counter("agfw.acks_sent"), 0u);
+    EXPECT_GT(agfw.counter("agfw.trapdoor_opens"), 0u);
     // The anonymity/addressing/reliability invariants hold throughout.
     EXPECT_GT(agfw.invariants.frames_checked, 0u);
     EXPECT_EQ(agfw.invariants.violations(), 0u);
@@ -59,19 +63,19 @@ TEST(Scenario, AgfwNoAckDeliversWorse) {
     const ScenarioResult ack = ScenarioRunner(small_config(Scheme::kAgfwAck)).run();
     const ScenarioResult noack = ScenarioRunner(small_config(Scheme::kAgfwNoAck)).run();
     // Figure 1(a): the unacknowledged variant is "not satisfactory".
-    EXPECT_LT(noack.delivery_fraction, ack.delivery_fraction - 0.1);
-    EXPECT_EQ(noack.acks_sent, 0u);
-    EXPECT_EQ(noack.nl_retransmissions, 0u);
+    EXPECT_LT(noack.delivery_fraction(), ack.delivery_fraction() - 0.1);
+    EXPECT_EQ(noack.counter("agfw.acks_sent"), 0u);
+    EXPECT_EQ(noack.counter("agfw.retransmissions"), 0u);
 }
 
 TEST(Scenario, DeterministicForSeed) {
     const ScenarioResult a = ScenarioRunner(small_config(Scheme::kAgfwAck, 9)).run();
     const ScenarioResult b = ScenarioRunner(small_config(Scheme::kAgfwAck, 9)).run();
-    EXPECT_EQ(a.app_sent, b.app_sent);
-    EXPECT_EQ(a.app_delivered, b.app_delivered);
+    EXPECT_EQ(a.counter("app.sent"), b.counter("app.sent"));
+    EXPECT_EQ(a.counter("app.delivered"), b.counter("app.delivered"));
     EXPECT_EQ(a.events_processed, b.events_processed);
-    EXPECT_DOUBLE_EQ(a.avg_latency_ms, b.avg_latency_ms);
-    EXPECT_EQ(a.mac_collisions, b.mac_collisions);
+    EXPECT_DOUBLE_EQ(mean_latency_ms(a), mean_latency_ms(b));
+    EXPECT_EQ(a.counter("phy.frames_corrupted"), b.counter("phy.frames_corrupted"));
 }
 
 TEST(Scenario, DifferentSeedsDiffer) {
@@ -87,7 +91,7 @@ TEST(Scenario, CryptoCostsRaiseLatency) {
     const ScenarioResult r_with = ScenarioRunner(with).run();
     const ScenarioResult r_without = ScenarioRunner(without).run();
     // The 8.5 ms trapdoor decryption at the last hop must be visible.
-    EXPECT_GT(r_with.avg_latency_ms, r_without.avg_latency_ms + 4.0);
+    EXPECT_GT(mean_latency_ms(r_with), mean_latency_ms(r_without) + 4.0);
 }
 
 TEST(Scenario, AuthenticatedHellosCostControlBytes) {
@@ -97,8 +101,8 @@ TEST(Scenario, AuthenticatedHellosCostControlBytes) {
     auth_cfg.ring_k = 4;
     const ScenarioResult plain = ScenarioRunner(plain_cfg).run();
     const ScenarioResult auth = ScenarioRunner(auth_cfg).run();
-    EXPECT_GT(auth.control_bytes, plain.control_bytes * 3);
-    EXPECT_GT(auth.cert_fetches, 0u);
+    EXPECT_GT(auth.counter("agfw.control_bytes"), plain.counter("agfw.control_bytes") * 3);
+    EXPECT_GT(auth.counter("agfw.cert_fetches"), 0u);
 }
 
 TEST(Scenario, LocationServiceModeRuns) {
@@ -106,11 +110,11 @@ TEST(Scenario, LocationServiceModeRuns) {
     cfg.location_service = routing::LocationService::Mode::kAnonymous;
     cfg.traffic_start_s = 20.0;  // let updates propagate first
     const ScenarioResult r = ScenarioRunner(cfg).run();
-    EXPECT_GT(r.ls.updates_sent, 0u);
-    EXPECT_GT(r.ls.queries_sent, 0u);
-    EXPECT_GT(r.ls.resolved_ok, 0u);
+    EXPECT_GT(r.counter("ls.updates_sent"), 0u);
+    EXPECT_GT(r.counter("ls.queries_sent"), 0u);
+    EXPECT_GT(r.counter("ls.resolved_ok"), 0u);
     // Some packets deliver through the full anonymous stack.
-    EXPECT_GT(r.delivery_fraction, 0.3);
+    EXPECT_GT(r.delivery_fraction(), 0.3);
     // ALS traffic also stays identity-free on the air.
     EXPECT_EQ(r.invariants.violations(), 0u);
 }
@@ -125,9 +129,10 @@ TEST(Scenario, RealCryptoScenarioEndToEnd) {
     cfg.traffic_stop_s = 25.0;
     cfg.use_real_crypto = true;
     const ScenarioResult r = ScenarioRunner(cfg).run();
-    EXPECT_GT(r.app_sent, 0u);
-    EXPECT_GT(r.trapdoor_attempts, 0u);
-    EXPECT_EQ(r.trapdoor_opens, r.app_delivered);  // only destinations open
+    EXPECT_GT(r.counter("app.sent"), 0u);
+    EXPECT_GT(r.counter("agfw.trapdoor_attempts"), 0u);
+    // Only destinations open.
+    EXPECT_EQ(r.counter("agfw.trapdoor_opens"), r.counter("app.delivered"));
 }
 
 TEST(Scenario, RunnerExposesNetworkAndAgents) {
@@ -148,8 +153,8 @@ TEST(Scenario, HigherDensityDegradesGpsrLatencyNotAgfw) {
     const ScenarioResult g_low = ScenarioRunner(gpsr_low).run();
     const ScenarioResult g_high = ScenarioRunner(gpsr_high).run();
     const ScenarioResult a_high = ScenarioRunner(agfw_high).run();
-    EXPECT_GT(g_high.avg_latency_ms, g_low.avg_latency_ms * 2);
-    EXPECT_LT(a_high.avg_latency_ms, g_high.avg_latency_ms);
+    EXPECT_GT(mean_latency_ms(g_high), mean_latency_ms(g_low) * 2);
+    EXPECT_LT(mean_latency_ms(a_high), mean_latency_ms(g_high));
 }
 
 }  // namespace

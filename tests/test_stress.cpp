@@ -116,9 +116,9 @@ TEST(Stress, ZeroFlowScenarioRuns) {
     cfg.num_senders = 1;
     cfg.sim_seconds = 30.0;
     const auto r = workload::ScenarioRunner(cfg).run();
-    EXPECT_EQ(r.app_sent, 0u);
-    EXPECT_EQ(r.app_delivered, 0u);
-    EXPECT_GT(r.hello_sent, 0u);
+    EXPECT_EQ(r.counter("app.sent"), 0u);
+    EXPECT_EQ(r.counter("app.delivered"), 0u);
+    EXPECT_GT(r.counter("agfw.hello_sent"), 0u);
 }
 
 TEST(Stress, TwoNodeScenarioRuns) {
@@ -130,10 +130,10 @@ TEST(Stress, TwoNodeScenarioRuns) {
     cfg.sim_seconds = 60.0;
     cfg.traffic_stop_s = 50.0;
     const auto r = workload::ScenarioRunner(cfg).run();
-    EXPECT_GT(r.app_sent, 0u);
+    EXPECT_GT(r.counter("app.sent"), 0u);
     // Two RWP nodes on a 1500x300 strip are often out of range: just demand
     // consistency, not delivery.
-    EXPECT_LE(r.app_delivered, r.app_sent);
+    EXPECT_LE(r.counter("app.delivered"), r.counter("app.sent"));
 }
 
 TEST(Stress, SaturatingTrafficDoesNotWedge) {
@@ -146,9 +146,9 @@ TEST(Stress, SaturatingTrafficDoesNotWedge) {
     cfg.traffic_start_s = 2.0;  // flows begin in [2,12] s
     cfg.traffic_stop_s = 15.0;
     const auto r = workload::ScenarioRunner(cfg).run();
-    EXPECT_GT(r.app_sent, 5000u);
-    EXPECT_GT(r.delivery_fraction, 0.0);  // something still gets through
-    EXPECT_LT(r.delivery_fraction, 1.0);  // and the overload is visible
+    EXPECT_GT(r.counter("app.sent"), 5000u);
+    EXPECT_GT(r.delivery_fraction(), 0.0);  // something still gets through
+    EXPECT_LT(r.delivery_fraction(), 1.0);  // and the overload is visible
     // Even under 12x overload the protocol never violates its invariants.
     EXPECT_EQ(r.invariants.violations(), 0u);
 }
@@ -163,9 +163,9 @@ TEST(Stress, HighMobilityNoPauseRuns) {
     cfg.sim_seconds = 40.0;
     cfg.traffic_stop_s = 35.0;
     const auto r = workload::ScenarioRunner(cfg).run();
-    EXPECT_GT(r.app_sent, 0u);
+    EXPECT_GT(r.counter("app.sent"), 0u);
     // Extreme churn hurts but must not zero out delivery entirely.
-    EXPECT_GT(r.delivery_fraction, 0.2);
+    EXPECT_GT(r.delivery_fraction(), 0.2);
     // Mobility churn stresses ANT freshness; the invariants must still hold.
     EXPECT_EQ(r.invariants.violations(), 0u);
 }
@@ -179,8 +179,8 @@ TEST(Stress, TinyRadioRangeMostlyPartitions) {
     cfg.sim_seconds = 30.0;
     cfg.traffic_stop_s = 25.0;
     const auto r = workload::ScenarioRunner(cfg).run();
-    EXPECT_LT(r.delivery_fraction, 0.5);
-    EXPECT_GT(r.drop_no_route + r.drop_unreachable, 0u);
+    EXPECT_LT(r.delivery_fraction(), 0.5);
+    EXPECT_GT(r.counter("agfw.drop_no_route") + r.counter("agfw.drop_unreachable"), 0u);
     EXPECT_EQ(r.invariants.violations(), 0u);
 }
 

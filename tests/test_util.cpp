@@ -4,6 +4,7 @@
 #include <set>
 
 #include "util/bytes.hpp"
+#include "util/json.hpp"
 #include "util/retry.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -448,6 +449,66 @@ TEST(RetryPolicy, MatchesLegacyAgfwShiftSchedule) {
         const SimTime legacy = ack * (1LL << std::min(attempts, 4));
         EXPECT_EQ(RetryPolicy::delay(p, attempts + 1, rng), legacy) << attempts;
     }
+}
+
+// ---------------------------------------------------------------- JSON reader
+
+TEST(JsonReader, ParsesDocumentsAndKeepsU64Exact) {
+    JsonValue v;
+    std::string error;
+    ASSERT_TRUE(parse_json(" {\"a\": [1, -2.5e1, true, null], \"s\": \"x\\u0041\\n\","
+                           " \"big\": 9007199254740993, \"max\": 18446744073709551615} ",
+                           v, error))
+        << error;
+    ASSERT_EQ(v.kind, JsonValue::Kind::kObject);
+    ASSERT_EQ(v.find("a")->array.size(), 4u);
+    EXPECT_EQ(v.find("a")->array[1].number, -25.0);
+    EXPECT_EQ(v.find("s")->string, "xA\n");
+    // 2^53 + 1: the double rounds it, the exact path does not.
+    std::uint64_t u = 0;
+    ASSERT_TRUE(v.find("big")->as_u64(u));
+    EXPECT_EQ(u, 9007199254740993ULL);
+    EXPECT_NE(static_cast<std::uint64_t>(v.find("big")->number), u);
+    ASSERT_TRUE(v.find("max")->as_u64(u));
+    EXPECT_EQ(u, 18446744073709551615ULL);
+    // Not plain unsigned integers.
+    EXPECT_FALSE(v.find("a")->array[1].as_u64(u));
+    EXPECT_FALSE(v.find("s")->as_u64(u));
+    ASSERT_TRUE(parse_json("18446744073709551616", v, error));
+    EXPECT_FALSE(v.as_u64(u));
+}
+
+TEST(JsonReader, RejectsMalformedInput) {
+    JsonValue v;
+    std::string error;
+    for (const char* bad : {"", "{", "[1,]", "{\"a\":1,\"a\":2}", "{} x", "tru", "\"\\u0100\"",
+                            "\"unterminated", "1.2.3", "{\"a\" 1}"}) {
+        error.clear();
+        EXPECT_FALSE(parse_json(bad, v, error)) << bad;
+        EXPECT_NE(error.find("at offset"), std::string::npos) << bad;
+    }
+    EXPECT_FALSE(parse_json("{\"k\":{\"a\":1},\"k\":2}", v, error));
+    EXPECT_NE(error.find("duplicate key"), std::string::npos);
+    // Keys may repeat across different objects.
+    EXPECT_TRUE(parse_json("[{\"a\":1},{\"a\":2}]", v, error)) << error;
+}
+
+TEST(JsonReader, DeepNestingIsAnErrorNotAStackOverflow) {
+    JsonValue v;
+    std::string error;
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_TRUE(parse_json(nested(kMaxJsonDepth), v, error)) << error;
+    EXPECT_FALSE(parse_json(nested(kMaxJsonDepth + 1), v, error));
+    EXPECT_NE(error.find("nesting too deep"), std::string::npos);
+    // A million unclosed brackets used to recurse once per byte.
+    EXPECT_FALSE(parse_json(std::string(1'000'000, '['), v, error));
+    EXPECT_NE(error.find("nesting too deep at offset 256"), std::string::npos) << error;
+    std::string objects;
+    for (int i = 0; i < 100'000; ++i) objects += "{\"a\":";
+    EXPECT_FALSE(parse_json(objects, v, error));
+    EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
 }
 
 }  // namespace

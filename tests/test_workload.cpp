@@ -65,8 +65,8 @@ TEST(Workload, CbrPacketCountMatchesRateAndDuration) {
     ScenarioRunner runner(cfg);
     const auto r = runner.run();
     // Each flow starts in [5,15] s and stops at 35 s: 40-60 packets each.
-    EXPECT_GE(r.app_sent, 10u * 40u);
-    EXPECT_LE(r.app_sent, 10u * 62u);
+    EXPECT_GE(r.counter("app.sent"), 10u * 40u);
+    EXPECT_LE(r.counter("app.sent"), 10u * 62u);
 }
 
 TEST(Workload, SenderCountRespected) {
@@ -90,26 +90,26 @@ TEST(Workload, SenderCountRespected) {
 TEST(Workload, DeliveryFractionNeverExceedsOne) {
     for (Scheme s : {Scheme::kGpsrGreedy, Scheme::kAgfwAck, Scheme::kAgfwNoAck}) {
         const auto r = ScenarioRunner(tiny(s)).run();
-        EXPECT_LE(r.delivery_fraction, 1.0) << workload::scheme_name(s);
-        EXPECT_GE(r.delivery_fraction, 0.0);
-        EXPECT_LE(r.app_delivered, r.app_sent);
+        EXPECT_LE(r.delivery_fraction(), 1.0) << workload::scheme_name(s);
+        EXPECT_GE(r.delivery_fraction(), 0.0);
+        EXPECT_LE(r.counter("app.delivered"), r.counter("app.sent"));
     }
 }
 
 TEST(Workload, LatencyPercentilesOrdered) {
     const auto r = ScenarioRunner(tiny(Scheme::kAgfwAck)).run();
-    EXPECT_LE(r.p50_latency_ms, r.p95_latency_ms);
-    EXPECT_GT(r.avg_latency_ms, 0.0);
-    EXPECT_GE(r.avg_hops, 1.0);
+    EXPECT_LE(r.metrics.histogram("app.latency_ms").p50, r.metrics.histogram("app.latency_ms").p95);
+    EXPECT_GT(r.metrics.histogram("app.latency_ms").mean, 0.0);
+    EXPECT_GE(r.metrics.histogram("app.hops").mean, 1.0);
 }
 
 TEST(Workload, SchemeSelectsMacMode) {
     // GPSR uses RTS/CTS unicast; AGFW never does.
     const auto gpsr = ScenarioRunner(tiny(Scheme::kGpsrGreedy)).run();
-    EXPECT_GT(gpsr.rts_sent, 0u);
+    EXPECT_GT(gpsr.counter("mac.rts_sent"), 0u);
     const auto agfw = ScenarioRunner(tiny(Scheme::kAgfwAck)).run();
-    EXPECT_EQ(agfw.rts_sent, 0u);
-    EXPECT_GT(agfw.data_frames, 0u);
+    EXPECT_EQ(agfw.counter("mac.rts_sent"), 0u);
+    EXPECT_GT(agfw.counter("mac.data_sent"), 0u);
 }
 
 TEST(Workload, TrafficStopsAtConfiguredTime) {
@@ -119,7 +119,7 @@ TEST(Workload, TrafficStopsAtConfiguredTime) {
     cfg.traffic_stop_s = 10.0;  // flows start in [5,15]: some never fire
     const auto r = ScenarioRunner(cfg).run();
     // At most ~5 s of traffic per flow.
-    EXPECT_LE(r.app_sent, 5u * 7u);
+    EXPECT_LE(r.counter("app.sent"), 5u * 7u);
 }
 
 TEST(Workload, PerimeterStatsFlowThrough) {
@@ -128,7 +128,9 @@ TEST(Workload, PerimeterStatsFlowThrough) {
     cfg.agfw.enable_perimeter = true;
     const auto r = ScenarioRunner(cfg).run();
     // No crash, and the counters are wired (>= 0 trivially; exercise read).
-    EXPECT_GE(r.perimeter_entries + r.perimeter_forwards + r.perimeter_recoveries, 0u);
+    EXPECT_GE(r.counter("agfw.perimeter_entries") + r.counter("agfw.perimeter_forwards") +
+                  r.counter("agfw.perimeter_recoveries"),
+              0u);
 }
 
 TEST(Workload, EventsProcessedScalesWithDensity) {

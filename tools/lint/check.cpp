@@ -1,262 +1,75 @@
-// --check self-validation: re-parse the JSON the tool just emitted and verify
-// it against the documented schema. util/json.hpp is emitter-only, so this
-// carries a small recursive-descent parser for the JSON subset to_json
-// produces (objects, arrays, strings with escapes, non-negative integers,
-// booleans, null). Mirrors the trace_query --check discipline: the tool
-// proves its own output parses before CI consumes it.
+// --check self-validation: re-parse the JSON the tool just emitted with the
+// shared reader (util/json) and verify it against the documented schema.
+// Mirrors the trace_query --check discipline: the tool proves its own output
+// parses before CI consumes it.
 
-#include <cctype>
-#include <cstdint>
-#include <map>
-#include <memory>
+#include <set>
 
 #include "lint.hpp"
+#include "util/json.hpp"
 
 namespace geoanon::lint {
 
 namespace {
 
-struct Value;
-using ValuePtr = std::shared_ptr<Value>;
-
-struct Value {
-    enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-    Kind kind{Kind::kNull};
-    bool boolean{false};
-    std::uint64_t number{0};
-    std::string str;
-    std::vector<ValuePtr> array;
-    std::map<std::string, ValuePtr> object;
-};
-
-struct Parser {
-    const std::string& s;
-    std::size_t pos{0};
-    std::string error;
-
-    explicit Parser(const std::string& text) : s(text) {}
-
-    bool fail(const std::string& why) {
-        if (error.empty())
-            error = why + " at offset " + std::to_string(pos);
-        return false;
-    }
-
-    void skip_ws() {
-        while (pos < s.size() && (s[pos] == ' ' || s[pos] == '\t' ||
-                                  s[pos] == '\n' || s[pos] == '\r'))
-            ++pos;
-    }
-
-    bool parse_string(std::string& out) {
-        if (pos >= s.size() || s[pos] != '"') return fail("expected string");
-        ++pos;
-        out.clear();
-        while (pos < s.size() && s[pos] != '"') {
-            char c = s[pos];
-            if (c == '\\') {
-                if (pos + 1 >= s.size()) return fail("truncated escape");
-                char e = s[pos + 1];
-                switch (e) {
-                    case '"': out += '"'; break;
-                    case '\\': out += '\\'; break;
-                    case '/': out += '/'; break;
-                    case 'b': out += '\b'; break;
-                    case 'f': out += '\f'; break;
-                    case 'n': out += '\n'; break;
-                    case 'r': out += '\r'; break;
-                    case 't': out += '\t'; break;
-                    case 'u': {
-                        if (pos + 5 >= s.size()) return fail("truncated \\u");
-                        unsigned code = 0;
-                        for (int k = 0; k < 4; ++k) {
-                            char h = s[pos + 2 + k];
-                            code <<= 4;
-                            if (h >= '0' && h <= '9') code |= unsigned(h - '0');
-                            else if (h >= 'a' && h <= 'f') code |= unsigned(h - 'a' + 10);
-                            else if (h >= 'A' && h <= 'F') code |= unsigned(h - 'A' + 10);
-                            else return fail("bad \\u digit");
-                        }
-                        // Emitted escapes are control characters; encode as
-                        // UTF-8 without surrogate handling (to_json never
-                        // emits surrogates).
-                        if (code < 0x80) {
-                            out += char(code);
-                        } else if (code < 0x800) {
-                            out += char(0xC0 | (code >> 6));
-                            out += char(0x80 | (code & 0x3F));
-                        } else {
-                            out += char(0xE0 | (code >> 12));
-                            out += char(0x80 | ((code >> 6) & 0x3F));
-                            out += char(0x80 | (code & 0x3F));
-                        }
-                        pos += 4;
-                        break;
-                    }
-                    default:
-                        return fail("unknown escape");
-                }
-                pos += 2;
-            } else {
-                out += c;
-                ++pos;
-            }
-        }
-        if (pos >= s.size()) return fail("unterminated string");
-        ++pos;  // closing quote
-        return true;
-    }
-
-    ValuePtr parse_value() {
-        skip_ws();
-        if (pos >= s.size()) {
-            fail("unexpected end of input");
-            return nullptr;
-        }
-        char c = s[pos];
-        auto v = std::make_shared<Value>();
-        if (c == '"') {
-            v->kind = Value::Kind::kString;
-            if (!parse_string(v->str)) return nullptr;
-            return v;
-        }
-        if (c == '{') {
-            v->kind = Value::Kind::kObject;
-            ++pos;
-            skip_ws();
-            if (pos < s.size() && s[pos] == '}') { ++pos; return v; }
-            while (true) {
-                skip_ws();
-                std::string key;
-                if (!parse_string(key)) return nullptr;
-                skip_ws();
-                if (pos >= s.size() || s[pos] != ':') {
-                    fail("expected ':' in object");
-                    return nullptr;
-                }
-                ++pos;
-                ValuePtr member = parse_value();
-                if (!member) return nullptr;
-                if (v->object.count(key)) {
-                    fail("duplicate key '" + key + "'");
-                    return nullptr;
-                }
-                v->object[key] = member;
-                skip_ws();
-                if (pos < s.size() && s[pos] == ',') { ++pos; continue; }
-                if (pos < s.size() && s[pos] == '}') { ++pos; return v; }
-                fail("expected ',' or '}' in object");
-                return nullptr;
-            }
-        }
-        if (c == '[') {
-            v->kind = Value::Kind::kArray;
-            ++pos;
-            skip_ws();
-            if (pos < s.size() && s[pos] == ']') { ++pos; return v; }
-            while (true) {
-                ValuePtr elem = parse_value();
-                if (!elem) return nullptr;
-                v->array.push_back(elem);
-                skip_ws();
-                if (pos < s.size() && s[pos] == ',') { ++pos; continue; }
-                if (pos < s.size() && s[pos] == ']') { ++pos; return v; }
-                fail("expected ',' or ']' in array");
-                return nullptr;
-            }
-        }
-        if (std::isdigit(static_cast<unsigned char>(c))) {
-            v->kind = Value::Kind::kNumber;
-            std::uint64_t n = 0;
-            while (pos < s.size() &&
-                   std::isdigit(static_cast<unsigned char>(s[pos]))) {
-                n = n * 10 + std::uint64_t(s[pos] - '0');
-                ++pos;
-            }
-            v->number = n;
-            return v;
-        }
-        if (s.compare(pos, 4, "true") == 0) {
-            v->kind = Value::Kind::kBool;
-            v->boolean = true;
-            pos += 4;
-            return v;
-        }
-        if (s.compare(pos, 5, "false") == 0) {
-            v->kind = Value::Kind::kBool;
-            pos += 5;
-            return v;
-        }
-        if (s.compare(pos, 4, "null") == 0) {
-            pos += 4;
-            return v;
-        }
-        fail("unexpected character");
-        return nullptr;
-    }
-};
+using util::JsonValue;
 
 bool set_error(std::string* error, const std::string& why) {
     if (error) *error = why;
     return false;
 }
 
-const Value* get(const Value& obj, const std::string& key) {
-    auto it = obj.object.find(key);
-    return it == obj.object.end() ? nullptr : it->second.get();
-}
-
-bool require_string(const Value& obj, const std::string& key,
+bool require_string(const JsonValue& obj, const std::string& key,
                     const std::string& ctx, std::string* error) {
-    const Value* v = get(obj, key);
+    const JsonValue* v = obj.find(key);
     if (!v) return set_error(error, ctx + ": missing key '" + key + "'");
-    if (v->kind != Value::Kind::kString)
+    if (v->kind != JsonValue::Kind::kString)
         return set_error(error, ctx + ": '" + key + "' is not a string");
     return true;
 }
 
-bool require_number(const Value& obj, const std::string& key,
-                    const std::string& ctx, std::string* error) {
-    const Value* v = get(obj, key);
+/// The schema's numbers are all non-negative integers.
+bool require_number(const JsonValue& obj, const std::string& key,
+                    const std::string& ctx, std::string* error,
+                    std::uint64_t* out = nullptr) {
+    const JsonValue* v = obj.find(key);
     if (!v) return set_error(error, ctx + ": missing key '" + key + "'");
-    if (v->kind != Value::Kind::kNumber)
-        return set_error(error, ctx + ": '" + key + "' is not a number");
+    std::uint64_t n = 0;
+    if (!v->as_u64(n))
+        return set_error(error, ctx + ": '" + key + "' is not a non-negative integer");
+    if (out) *out = n;
     return true;
 }
 
 }  // namespace
 
 bool validate_findings_json(const std::string& json, std::string* error) {
-    Parser p(json);
-    ValuePtr root = p.parse_value();
-    if (root) p.skip_ws();
-    if (!root || p.pos != json.size()) {
-        return set_error(error, root ? "trailing garbage after JSON document"
-                                     : "parse error: " + p.error);
-    }
-    if (root->kind != Value::Kind::kObject)
+    JsonValue root;
+    std::string parse_error;
+    if (!util::parse_json(json, root, parse_error))
+        return set_error(error, "parse error: " + parse_error);
+    if (root.kind != JsonValue::Kind::kObject)
         return set_error(error, "top level is not an object");
 
-    if (!require_string(*root, "tool", "top level", error)) return false;
-    if (get(*root, "tool")->str != "geoanon_lint")
+    if (!require_string(root, "tool", "top level", error)) return false;
+    if (root.find("tool")->string != "geoanon_lint")
         return set_error(error, "tool is not \"geoanon_lint\"");
 
-    if (!require_number(*root, "schema_version", "top level", error))
+    std::uint64_t schema_version = 0, count = 0;
+    if (!require_number(root, "schema_version", "top level", error, &schema_version))
         return false;
-    if (get(*root, "schema_version")->number != kJsonSchemaVersion)
-        return set_error(error,
-                         "schema_version is " +
-                             std::to_string(get(*root, "schema_version")->number) +
-                             ", expected " + std::to_string(kJsonSchemaVersion));
+    if (schema_version != kJsonSchemaVersion)
+        return set_error(error, "schema_version is " + std::to_string(schema_version) +
+                                    ", expected " + std::to_string(kJsonSchemaVersion));
 
-    if (!require_number(*root, "version", "top level", error)) return false;
-    if (!require_number(*root, "count", "top level", error)) return false;
+    if (!require_number(root, "version", "top level", error)) return false;
+    if (!require_number(root, "count", "top level", error, &count)) return false;
 
-    const Value* findings = get(*root, "findings");
+    const JsonValue* findings = root.find("findings");
     if (!findings) return set_error(error, "missing key 'findings'");
-    if (findings->kind != Value::Kind::kArray)
+    if (findings->kind != JsonValue::Kind::kArray)
         return set_error(error, "'findings' is not an array");
-    if (get(*root, "count")->number != findings->array.size())
+    if (count != findings->array.size())
         return set_error(error, "count does not match findings length");
 
     // Known rule ids, for the per-finding rule_id check.
@@ -264,28 +77,27 @@ bool validate_findings_json(const std::string& json, std::string* error) {
     for (Rule r : kAllRules) ids.insert(rule_id(r));
 
     for (std::size_t i = 0; i < findings->array.size(); ++i) {
-        const Value& f = *findings->array[i];
+        const JsonValue& f = findings->array[i];
         const std::string ctx = "findings[" + std::to_string(i) + "]";
-        if (f.kind != Value::Kind::kObject)
+        if (f.kind != JsonValue::Kind::kObject)
             return set_error(error, ctx + " is not an object");
         for (const char* key : {"rule_id", "rule", "file", "message"})
             if (!require_string(f, key, ctx, error)) return false;
         if (!require_number(f, "line", ctx, error)) return false;
-        if (!ids.count(get(f, "rule_id")->str))
+        if (!ids.count(f.find("rule_id")->string))
             return set_error(error, ctx + ": unknown rule_id '" +
-                                        get(f, "rule_id")->str + "'");
+                                        f.find("rule_id")->string + "'");
         // Optional extras must have the right types when present.
         for (const char* key :
              {"taint_source", "taint_sink", "layer_from", "layer_to"}) {
-            const Value* v = get(f, key);
-            if (v && v->kind != Value::Kind::kString)
+            const JsonValue* v = f.find(key);
+            if (v && v->kind != JsonValue::Kind::kString)
                 return set_error(error, ctx + ": '" + std::string(key) +
                                             "' is not a string");
         }
-        if (const Value* v = get(f, "taint_source_line"))
-            if (v->kind != Value::Kind::kNumber)
-                return set_error(error, ctx + ": 'taint_source_line' is not a "
-                                            "number");
+        if (f.find("taint_source_line") &&
+            !require_number(f, "taint_source_line", ctx, error))
+            return false;
         // Unknown keys are a schema drift signal: reject them.
         static const std::set<std::string> known = {
             "rule_id", "rule", "file", "line", "message",
