@@ -45,6 +45,15 @@ void BM_Sha256_1KiB(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256_1KiB);
 
+void BM_Sha256_64B(benchmark::State& state) {
+    // One data block plus the padding block: the per-compression cost.
+    util::Bytes data(64, 0xAB);
+    for (auto _ : state) benchmark::DoNotOptimize(Sha256::hash(data));
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+    state.SetLabel(sha256_compress::has_sha_ni() ? "sha-ni" : "portable");
+}
+BENCHMARK(BM_Sha256_64B);
+
 void BM_RsaKeygen512(benchmark::State& state) {
     util::Rng rng(7);
     for (auto _ : state) benchmark::DoNotOptimize(rsa_generate(rng, 512));
@@ -115,6 +124,14 @@ void BM_FeistelPermutation72B(benchmark::State& state) {
     for (auto _ : state) benchmark::DoNotOptimize(f.encrypt(block));
 }
 BENCHMARK(BM_FeistelPermutation72B);
+
+void BM_AnonymizeUid(benchmark::State& state) {
+    // The per-data-packet uid PRP (8-byte Feistel block, 16 compressions).
+    ModeledCryptoEngine engine(3, 512);
+    std::uint64_t uid = 1ull << 32;
+    for (auto _ : state) benchmark::DoNotOptimize(engine.anonymize_uid(++uid));
+}
+BENCHMARK(BM_AnonymizeUid);
 
 void BM_PseudonymGeneration(benchmark::State& state) {
     ModeledCryptoEngine engine(3, 512);

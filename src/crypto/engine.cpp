@@ -11,27 +11,25 @@ namespace {
 constexpr std::uint32_t kTrapdoorMagic = 0x54524150;  // "TRAP"
 constexpr std::uint64_t kPseudonymMask = (1ULL << 48) - 1;
 
-util::Bytes uid_prp_key(std::uint64_t seed) {
-    util::ByteWriter w;
-    w.u64(seed);
+Sha256::Digest uid_prp_key(std::uint64_t seed) {
     Sha256 h;
-    h.update(w.data());
+    h.update_u64(seed);
     h.update("geoanon-uid-prp");
-    const Sha256::Digest d = h.finish();
-    return util::Bytes(d.begin(), d.end());
+    return h.finish();
 }
 }  // namespace
 
 CryptoEngine::CryptoEngine(std::uint64_t seed)
     : uid_prp_(uid_prp_key(seed), /*block_bytes=*/8) {}
 
+// geoanon: hot
 std::uint64_t CryptoEngine::anonymize_uid(std::uint64_t uid) const {
     std::array<std::uint8_t, 8> block;
     for (int i = 0; i < 8; ++i)
         block[i] = static_cast<std::uint8_t>(uid >> (56 - 8 * i));
-    const util::Bytes out = uid_prp_.encrypt(block);
+    uid_prp_.encrypt_in_place(block);
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v = (v << 8) | out[static_cast<std::size_t>(i)];
+    for (int i = 0; i < 8; ++i) v = (v << 8) | block[static_cast<std::size_t>(i)];
     return v;
 }
 
@@ -201,12 +199,17 @@ void ModeledCryptoEngine::register_node(NodeIdNum id) { nodes_[id] = true; }
 
 bool ModeledCryptoEngine::has_node(NodeIdNum id) const { return nodes_.contains(id); }
 
-util::Bytes ModeledCryptoEngine::node_secret(NodeIdNum id) const {
-    util::ByteWriter w;
-    w.u64(seed_);
-    w.u64(id);
-    const auto digest = Sha256::hash(w.data());
-    return util::Bytes(digest.begin(), digest.end());
+Sha256 ModeledCryptoEngine::keystream_key(NodeIdNum id, std::uint64_t nonce) const {
+    // Key: len(secret) || secret || nonce, secret = SHA-256(seed || id).
+    Sha256 secret;
+    secret.update_u64(seed_);
+    secret.update_u64(id);
+    const Sha256::Digest digest = secret.finish();
+    Sha256 key;
+    key.update_u32(static_cast<std::uint32_t>(digest.size()));
+    key.update(digest);
+    key.update_u64(nonce);
+    return key;
 }
 
 util::Bytes ModeledCryptoEngine::make_trapdoor(NodeIdNum dest,
@@ -223,11 +226,7 @@ util::Bytes ModeledCryptoEngine::make_trapdoor(NodeIdNum dest,
     body.resize(size - 8, 0);
 
     const std::uint64_t nonce = rng.next_u64();
-    util::ByteWriter key;
-    key.bytes(node_secret(dest));
-    key.u64(nonce);
-    const util::Bytes stream = sha256_keystream(key.data(), body.size());
-    for (std::size_t i = 0; i < body.size(); ++i) body[i] ^= stream[i];
+    sha256_keystream_xor(keystream_key(dest, nonce), body);
 
     util::ByteWriter out;
     out.u64(nonce);
@@ -242,11 +241,7 @@ std::optional<util::Bytes> ModeledCryptoEngine::try_open_trapdoor(
     const auto nonce = r.u64();
     if (!nonce) return std::nullopt;
     auto body = r.raw(r.remaining());
-    util::ByteWriter key;
-    key.bytes(node_secret(self));
-    key.u64(*nonce);
-    const util::Bytes stream = sha256_keystream(key.data(), body->size());
-    for (std::size_t i = 0; i < body->size(); ++i) (*body)[i] ^= stream[i];
+    sha256_keystream_xor(keystream_key(self, *nonce), *body);
 
     util::ByteReader inner(*body);
     auto magic = inner.u32();
@@ -271,11 +266,7 @@ util::Bytes ModeledCryptoEngine::encrypt_for(NodeIdNum dest,
     body.resize(std::max(body.size(), real_size - 8), 0);
 
     const std::uint64_t nonce = rng.next_u64();
-    util::ByteWriter key;
-    key.bytes(node_secret(dest));
-    key.u64(nonce);
-    const util::Bytes stream = sha256_keystream(key.data(), body.size());
-    for (std::size_t i = 0; i < body.size(); ++i) body[i] ^= stream[i];
+    sha256_keystream_xor(keystream_key(dest, nonce), body);
 
     util::ByteWriter out;
     out.u64(nonce);
@@ -289,11 +280,7 @@ std::optional<util::Bytes> ModeledCryptoEngine::try_decrypt(
     util::ByteReader r(ct);
     const auto nonce = r.u64();
     auto body = r.raw(r.remaining());
-    util::ByteWriter key;
-    key.bytes(node_secret(self));
-    key.u64(*nonce);
-    const util::Bytes stream = sha256_keystream(key.data(), body->size());
-    for (std::size_t i = 0; i < body->size(); ++i) (*body)[i] ^= stream[i];
+    sha256_keystream_xor(keystream_key(self, *nonce), *body);
 
     util::ByteReader inner(*body);
     auto magic = inner.u32();

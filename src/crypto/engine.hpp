@@ -10,6 +10,7 @@
 #include "crypto/feistel.hpp"
 #include "crypto/ring_signature.hpp"
 #include "crypto/rsa.hpp"
+#include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -214,7 +215,9 @@ class ModeledCryptoEngine final : public CryptoEngine {
     std::size_t certificate_bytes() const override;
 
   private:
-    util::Bytes node_secret(NodeIdNum id) const;
+    /// Hasher that has absorbed the keystream key of `id`'s tokens under
+    /// `nonce`; only the holder of id's secret can rebuild it.
+    Sha256 keystream_key(NodeIdNum id, std::uint64_t nonce) const;
 
     std::uint64_t seed_;
     std::size_t modulus_bits_;

@@ -1,57 +1,60 @@
 #include "crypto/feistel.hpp"
 
+#include <algorithm>
 #include <cassert>
-
-#include "crypto/sha256.hpp"
 
 namespace geoanon::crypto {
 
-FeistelPermutation::FeistelPermutation(util::Bytes key, std::size_t block_bytes)
-    : key_(std::move(key)), block_bytes_(block_bytes) {
+FeistelPermutation::FeistelPermutation(std::span<const std::uint8_t> key,
+                                       std::size_t block_bytes)
+    : block_bytes_(block_bytes) {
     assert(block_bytes_ >= 2 && block_bytes_ % 2 == 0);
+    keyed_.update_u32(static_cast<std::uint32_t>(key.size()));
+    keyed_.update(key);
 }
 
-util::Bytes FeistelPermutation::round_function(int round,
-                                               std::span<const std::uint8_t> half) const {
-    // F(round, R) = first half_size bytes of SHA-256-CTR(key || round || R).
-    util::ByteWriter w;
-    w.bytes(key_);
-    w.u32(static_cast<std::uint32_t>(round));
-    w.bytes(half);
-    const util::Bytes seed = w.take();
-    return sha256_keystream(seed, half.size());
+// geoanon: hot
+void FeistelPermutation::permute_in_place(std::span<std::uint8_t> block, bool inverse) const {
+    assert(block.size() == block_bytes_);
+    const std::size_t h = block_bytes_ / 2;
+    const std::span<std::uint8_t> left = block.first(h);
+    const std::span<std::uint8_t> right = block.last(h);
+    // Even steps XOR F(round, right) into left, odd steps the reverse, so the
+    // halves never move. Decryption walks the rounds backwards over the
+    // swapped halves of a ciphertext, which undoes encryption step by step.
+    for (int step = 0; step < kRounds; ++step) {
+        const int round = inverse ? kRounds - 1 - step : step;
+        const std::span<std::uint8_t> src = step % 2 == 0 ? right : left;
+        const std::span<std::uint8_t> dst = step % 2 == 0 ? left : right;
+        Sha256 f = keyed_;
+        f.update_u32(static_cast<std::uint32_t>(round));
+        f.update_u32(static_cast<std::uint32_t>(h));
+        f.update(src);
+        sha256_keystream_xor(f, dst);
+    }
+    // Emit R || L: the output of an even round count with the final swap.
+    std::swap_ranges(left.begin(), left.end(), right.begin());
+}
+
+// geoanon: hot
+void FeistelPermutation::encrypt_in_place(std::span<std::uint8_t> block) const {
+    permute_in_place(block, /*inverse=*/false);
+}
+
+// geoanon: hot
+void FeistelPermutation::decrypt_in_place(std::span<std::uint8_t> block) const {
+    permute_in_place(block, /*inverse=*/true);
 }
 
 util::Bytes FeistelPermutation::encrypt(std::span<const std::uint8_t> block) const {
-    assert(block.size() == block_bytes_);
-    const std::size_t h = block_bytes_ / 2;
-    util::Bytes left(block.begin(), block.begin() + static_cast<std::ptrdiff_t>(h));
-    util::Bytes right(block.begin() + static_cast<std::ptrdiff_t>(h), block.end());
-    for (int round = 0; round < kRounds; ++round) {
-        const util::Bytes f = round_function(round, right);
-        for (std::size_t i = 0; i < h; ++i) left[i] ^= f[i];
-        std::swap(left, right);
-    }
-    // Undo the final swap so decrypt can run rounds in reverse symmetrically.
-    std::swap(left, right);
-    util::Bytes out = std::move(left);
-    out.insert(out.end(), right.begin(), right.end());
+    util::Bytes out(block.begin(), block.end());
+    encrypt_in_place(out);
     return out;
 }
 
 util::Bytes FeistelPermutation::decrypt(std::span<const std::uint8_t> block) const {
-    assert(block.size() == block_bytes_);
-    const std::size_t h = block_bytes_ / 2;
-    util::Bytes left(block.begin(), block.begin() + static_cast<std::ptrdiff_t>(h));
-    util::Bytes right(block.begin() + static_cast<std::ptrdiff_t>(h), block.end());
-    for (int round = kRounds - 1; round >= 0; --round) {
-        const util::Bytes f = round_function(round, right);
-        for (std::size_t i = 0; i < h; ++i) left[i] ^= f[i];
-        std::swap(left, right);
-    }
-    std::swap(left, right);
-    util::Bytes out = std::move(left);
-    out.insert(out.end(), right.begin(), right.end());
+    util::Bytes out(block.begin(), block.end());
+    decrypt_in_place(out);
     return out;
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "crypto/cert.hpp"
 #include "crypto/engine.hpp"
@@ -12,6 +13,7 @@ using namespace geoanon::crypto;
 using geoanon::util::Bytes;
 using geoanon::util::ByteReader;
 using geoanon::util::Rng;
+using geoanon::util::to_hex;
 
 // ----------------------------------------------------------------- CA/certs
 
@@ -127,6 +129,41 @@ TYPED_TEST(EngineTest, AnonymizeUidHidesTheIdCounterLayout) {
 TEST(EngineSeeds, AnonymizeUidKeyedByEngineSeed) {
     ModeledCryptoEngine a(1), b(2);
     EXPECT_NE(a.anonymize_uid(0x2A00000001ull), b.anonymize_uid(0x2A00000001ull));
+}
+
+TEST(EngineSeeds, AnonymizeUidKnownAnswers) {
+    // Recorded from the original Bytes-based PRP. Pins the permutation
+    // itself, not just its bijectivity: every wire uid depends on it.
+    const ModeledCryptoEngine engine(7);
+    const std::pair<std::uint64_t, std::uint64_t> cases[] = {
+        {0x0000000000000000ull, 0x5ce7680400c45d7cull},
+        {0x0000000100000000ull, 0xece4fe34369fbd3dull},
+        {0x0000000100000001ull, 0x8cd72e0e781bd7fcull},
+        {0x0000002a00000007ull, 0x43d1da4362addc30ull},
+        {0x000000310001e240ull, 0xb17235faf9680d48ull},
+        {0xffffffffffffffffull, 0xdb6cfb4f4fcb1e4full},
+    };
+    for (const auto& [raw, anon] : cases)
+        EXPECT_EQ(engine.anonymize_uid(raw), anon) << std::hex << "raw=" << raw;
+}
+
+TEST(ModeledEngine, KeystreamTokensKnownAnswers) {
+    // Recorded from the original Bytes-based keystream: pins the modeled
+    // trapdoor and encrypt_for wire bytes for a fixed Rng.
+    ModeledCryptoEngine engine(7);
+    engine.register_node(3);
+    Rng rng(5);
+    const Bytes payload{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+    const Bytes td = engine.make_trapdoor(3, payload, rng);
+    EXPECT_EQ(to_hex(td),
+              "49d55178ca54cf69b396388bcd2d6a3e0807af8ab6f65572c779409b0903175337ed9c2703a08477"
+              "9c8067391393436b1698e0e710a6c81605827118eb34e842");
+    const Bytes ct = engine.encrypt_for(3, payload, rng);
+    EXPECT_EQ(to_hex(ct),
+              "9a22115a4d2624dc167634688e2ffa84f71a26451f95c86f586b64486048dd9b0b041b32f4826be5"
+              "21b74895a554ec3113b94cacc42d7b9b78f003c99c1aeb39e48566ea0eb0e9bc256480ca");
+    EXPECT_EQ(engine.try_open_trapdoor(3, td), payload);
+    EXPECT_EQ(engine.try_decrypt(3, ct), payload);
 }
 
 TYPED_TEST(EngineTest, TrapdoorOnlyDestinationOpens) {

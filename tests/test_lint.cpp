@@ -425,6 +425,19 @@ TEST(LintHotAlloc, FlagsUnreservedVectorAndLoopGrowth) {
     EXPECT_EQ(count_rule(fs, Rule::kHotAlloc), 2u);
 }
 
+TEST(LintHotAlloc, FlagsByteBufferLocals) {
+    // util::Bytes is a std::vector and util::ByteWriter owns one; a reference
+    // binds without allocating.
+    const auto fs = scan("src/x.cpp",
+                         "// geoanon: hot\n"
+                         "void round(std::span<const std::uint8_t> half) {\n"
+                         "  util::ByteWriter w;\n"
+                         "  const util::Bytes seed = w.take();\n"
+                         "  const util::Bytes& key = key_;\n"
+                         "}\n");
+    EXPECT_EQ(count_rule(fs, Rule::kHotAlloc), 2u);
+}
+
 TEST(LintHotAlloc, ReserveSilencesBothDetectors) {
     const auto fs = scan("src/x.cpp",
                          "// geoanon: hot\n"

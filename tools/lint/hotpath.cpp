@@ -1,6 +1,7 @@
 // GL030 hot-path allocation: inside functions annotated `// geoanon: hot`,
 // flag operator new, make_unique/make_shared, std::function construction,
-// unreserved local vectors, and container growth inside loops. The hot set is
+// unreserved local vectors (util::Bytes and util::ByteWriter included), and
+// container growth inside loops. The hot set is
 // opt-in per function definition (the annotation must sit at the definition,
 // not the declaration — the pass is per-file). ROADMAP item 1 (100k–1M node
 // kernel) is the reason this discipline exists; DESIGN.md §13 documents it.
@@ -47,10 +48,11 @@ void check_hot_function(const std::string& path, const std::vector<Token>& toks,
                            "std::function" + where +
                                ": type-erased callables allocate; take a "
                                "template parameter or a bound member instead"});
-        } else if (t.text == "vector" && i + 1 < fn.close &&
-                   toks[i + 1].text == "<") {
-            // Local vector declaration without a later reserve().
-            const std::size_t close = match_angle(toks, i + 1);
+        } else if ((t.text == "vector" && i + 1 < fn.close && toks[i + 1].text == "<") ||
+                   t.text == "Bytes" || t.text == "ByteWriter") {
+            // Local vector declaration without a later reserve(). util::Bytes
+            // is a vector and util::ByteWriter owns one, so both count.
+            const std::size_t close = t.text == "vector" ? match_angle(toks, i + 1) : i;
             if (close >= fn.close) continue;
             std::size_t j = close + 1;
             while (j < fn.close &&
@@ -66,7 +68,7 @@ void check_hot_function(const std::string& path, const std::vector<Token>& toks,
             const std::string& name = toks[j].text;
             if (!has_reserve(toks, fn, name)) {
                 out.push_back({Rule::kHotAlloc, path, toks[j].line,
-                               "local vector '" + name + "'" + where +
+                               "local " + t.text + " '" + name + "'" + where +
                                    " never calls reserve(): growth reallocates "
                                    "per event; reserve to the known bound"});
             }
