@@ -1,13 +1,13 @@
-// Engine scaling — event-kernel throughput, spatial-hash channel vs
-// brute-force O(N) scan, and wheel-vs-heap differential validation.
+// Engine scaling — event-kernel throughput and spatial-hash channel vs
+// brute-force O(N) scan.
 //
-// Four measurements, same machine, same seeds:
+// Three measurements, same machine, same seeds:
 //
 //  0. Kernel microbenchmark: K self-rescheduling timers with 40-byte
 //     captures churning through the event queue with no protocol work at
 //     all. Run once on the timer-wheel kernel and once on the binary-heap
-//     kernel (GEOANON_HEAP_QUEUE's engine), giving the kernel-layer
-//     events/sec ratio the timer wheel is accountable for.
+//     reference kernel, giving the kernel-layer events/sec ratio the timer
+//     wheel is accountable for.
 //
 //  1. Channel microbenchmark: N mobile radios beaconing over a bare Channel
 //     (no MAC, no routing), in a sparse wide-area field with unit-disk
@@ -26,21 +26,15 @@
 //     reported too, and is honest about Amdahl: protocol work shared by both
 //     channels bounds the end-to-end gain well below the channel-layer ratio.
 //
-//  3. --differential: the same full scenario run on the timer-wheel kernel
-//     and again on the binary-heap kernel (env toggled in-process between
-//     the two serial runs); the deterministic result JSON must be
-//     byte-identical. This is the acceptance gate for the kernel swap.
-//
 // Usage: scaling_grid [--nodes=500] [--seconds=60] [--degree=10] [--seeds=1]
 //                     [--kernel-timers=10000] [--kernel-seconds=5]
 //                     [--sweep=10000,100000] [--sweep-seconds=5]
-//                     [--skip-brute] [--skip-scenario] [--differential]
+//                     [--skip-brute] [--skip-scenario]
 //                     [--json=BENCH_scaling.json]
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <numbers>
 #include <string>
@@ -214,7 +208,6 @@ int main(int argc, char** argv) {
     const int seeds = static_cast<int>(args.get("seeds", std::int64_t{1}));
     const bool skip_brute = args.has("skip-brute");
     const bool skip_scenario = args.has("skip-scenario");
-    const bool differential = args.has("differential");
     const auto kernel_timers =
         static_cast<std::size_t>(args.get("kernel-timers", std::int64_t{10000}));
     const double kernel_seconds = args.get("kernel-seconds", 5.0);
@@ -384,34 +377,6 @@ int main(int argc, char** argv) {
         }
     }
 
-    // ---- Section 3: wheel-vs-heap differential ---------------------------
-    bool diff_identical = true;
-    if (differential) {
-        std::printf("\nDifferential: full scenario on timer-wheel vs binary-heap "
-                    "kernel (%zu nodes, %.0f s)...\n",
-                    nodes, seconds);
-        workload::ScenarioConfig diff_cfg = base;
-        diff_cfg.seed = 42;
-        // The kernel is chosen when each run constructs its Simulator, so
-        // toggling the env var between the two serial runs selects it
-        // in-process (same binary, same everything else).
-        const char* prev = std::getenv("GEOANON_HEAP_QUEUE");
-        unsetenv("GEOANON_HEAP_QUEUE");
-        const workload::ScenarioResult wheel_res =
-            workload::ScenarioRunner(diff_cfg).run();
-        setenv("GEOANON_HEAP_QUEUE", "1", 1);
-        const workload::ScenarioResult heap_res =
-            workload::ScenarioRunner(diff_cfg).run();
-        if (prev != nullptr)
-            setenv("GEOANON_HEAP_QUEUE", prev, 1);
-        else
-            unsetenv("GEOANON_HEAP_QUEUE");
-        diff_identical = experiment::result_to_json(wheel_res) ==
-                         experiment::result_to_json(heap_res);
-        std::printf("wheel vs heap results byte-identical: %s\n",
-                    diff_identical ? "yes" : "NO — KERNEL BUG");
-    }
-
     if (args.has("json")) {
         experiment::JsonWriter w;
         w.begin_object();
@@ -470,17 +435,10 @@ int main(int argc, char** argv) {
             }
             w.end_object();
         }
-        if (differential) {
-            w.key("differential").begin_object();
-            w.key("results_identical").value(diff_identical);
-            w.end_object();
-        }
         w.end_object();
         const std::string path = args.get("json", std::string{});
         if (experiment::write_text_file(path, w.str()))
             std::printf("wrote %s\n", path.c_str());
     }
-    bool ok = diff_identical;
-    if (!skip_brute) ok = ok && chan_identical && scen_identical;
-    return ok ? 0 : 1;
+    return chan_identical && scen_identical ? 0 : 1;
 }

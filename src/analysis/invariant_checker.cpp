@@ -74,17 +74,15 @@ void InvariantChecker::on_frame(const phy::Frame& frame) {
 void InvariantChecker::check_packet(const Packet& pkt) {
     ++counters_.packets_checked;
 
-    if (params_.check_codec) {
-        // Wire discipline: whatever the agents put on the air must survive
-        // the reference codec, and the canonical encoding can never exceed
-        // the wire size the protocol accounted for (it may be smaller when
-        // full certificates are attached by value).
-        const auto wire = net::codec::encode(pkt, /*include_trace=*/false);
-        if (!net::codec::decode_ex(wire).packet)
-            ++counters_.codec_reject;
-        if (pkt.wire_bytes != 0 && wire.size() > pkt.wire_bytes)
-            ++counters_.wire_size_mismatch;
-    }
+    // Wire discipline: whatever the agents put on the air must survive the
+    // reference codec, and the canonical encoding can never exceed the wire
+    // size the protocol accounted for (it may be smaller when full
+    // certificates are attached by value).
+    const auto wire = net::codec::encode(pkt, /*include_trace=*/false);
+    if (!net::codec::decode_ex(wire).packet)
+        ++counters_.codec_reject;
+    if (pkt.wire_bytes != 0 && wire.size() > pkt.wire_bytes)
+        ++counters_.wire_size_mismatch;
 
     if (params_.expect_anonymous) {
         // §3.2/§4: the sender's identity travels only inside the trapdoor

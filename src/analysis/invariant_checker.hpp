@@ -60,8 +60,6 @@ class InvariantChecker {
         util::SimTime target_age_slack{util::SimTime::seconds(5.0)};
         /// Period of the ANT state sweep.
         util::SimTime sweep_period{util::SimTime::seconds(1.0)};
-        /// Re-encode every observed packet through the reference codec.
-        bool check_codec{true};
     };
 
     struct Counters {

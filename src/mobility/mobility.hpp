@@ -44,10 +44,10 @@ struct MotionSample {
     Vec2 to{};
 };
 
-/// Evaluate a sample exactly as RandomWaypoint::position_at always has.
-/// Shared by the model and the SoA fast path so the two are bit-identical by
-/// construction (same expressions, same operation order — floating point is
-/// not associative, so duplicating the formula would risk drift).
+/// Evaluate a sample at `t`. Every position in the simulator comes through
+/// here (MobilityModel::position_at and phy::EngineState's cached legs
+/// alike), so the two agree bit for bit by construction: one expression, one
+/// operation order (floating point is not associative).
 inline Vec2 sample_position(const MotionSample& s, SimTime t) {
     if (t <= s.move_start) return s.from;
     const double travel = (s.end - s.move_start).to_seconds();
@@ -64,39 +64,30 @@ inline Vec2 sample_velocity(const MotionSample& s, SimTime t) {
     return (s.to - s.from) / travel;
 }
 
-/// Position-over-time model for one node. Implementations must be
-/// deterministic functions of their seed; queries may come in any time order.
+/// Position-over-time model for one node, described as piecewise-linear
+/// motion legs. Implementations must be deterministic functions of their
+/// seed; queries may come in any time order.
 class MobilityModel {
   public:
     virtual ~MobilityModel() = default;
-    /// Node position at simulation time `t` (t >= 0).
-    virtual Vec2 position_at(SimTime t) = 0;
+    /// The motion leg containing `t` (t >= 0): start <= t < end, or the last
+    /// leg when t lies at or past its end.
+    virtual MotionSample motion_at(SimTime t) = 0;
+    /// Node position at simulation time `t`.
+    Vec2 position_at(SimTime t) { return sample_position(motion_at(t), t); }
     /// Velocity vector at `t` (zero when paused); lets forwarding strategies
     /// exploit predictable motion (§3.1.1).
-    virtual Vec2 velocity_at(SimTime t) = 0;
-    /// Fill `out` with the motion leg containing `t` and return true, or
-    /// return false if the model cannot describe itself piecewise-linearly
-    /// (callers then fall back to per-query position_at). Models that return
-    /// true guarantee sample_position(out, u) == position_at(u) for every u
-    /// in [out.start, out.end).
-    virtual bool motion_at(SimTime t, MotionSample& out) {
-        (void)t;
-        (void)out;
-        return false;
-    }
+    Vec2 velocity_at(SimTime t) { return sample_velocity(motion_at(t), t); }
 };
 
 /// Node that never moves.
 class StationaryMobility final : public MobilityModel {
   public:
     explicit StationaryMobility(Vec2 pos) : pos_(pos) {}
-    Vec2 position_at(SimTime) override { return pos_; }
-    Vec2 velocity_at(SimTime) override { return {}; }
-    bool motion_at(SimTime, MotionSample& out) override {
-        // One degenerate leg covering all of time: from == to pins the
-        // position and zeroes the velocity.
-        out = MotionSample{SimTime::zero(), SimTime::zero(), SimTime::max(), pos_, pos_};
-        return true;
+    /// One degenerate leg covering all of time: from == to pins the position
+    /// and zeroes the velocity.
+    MotionSample motion_at(SimTime) override {
+        return {SimTime::zero(), SimTime::zero(), SimTime::max(), pos_, pos_};
     }
 
   private:
@@ -105,8 +96,8 @@ class StationaryMobility final : public MobilityModel {
 
 /// Random-waypoint mobility (the CMU/ns-2 model the paper uses): pick a
 /// uniform destination in the area and a uniform speed in [min,max], travel
-/// there in a straight line, pause, repeat. Trajectory segments are generated
-/// lazily and cached so arbitrary-time queries stay O(log n).
+/// there in a straight line, pause, repeat. Legs are generated lazily and
+/// cached so arbitrary-time queries stay O(log n).
 class RandomWaypoint final : public MobilityModel {
   public:
     struct Params {
@@ -117,28 +108,17 @@ class RandomWaypoint final : public MobilityModel {
 
     RandomWaypoint(Area area, Vec2 start, Params params, Rng rng);
 
-    Vec2 position_at(SimTime t) override;
-    Vec2 velocity_at(SimTime t) override;
-    bool motion_at(SimTime t, MotionSample& out) override;
+    MotionSample motion_at(SimTime t) override;
 
   private:
-    /// One leg: pause at `from` until move_start, then travel to `to`,
-    /// arriving at end_time.
-    struct Segment {
-        SimTime start;       // segment begins (pause begins)
-        SimTime move_start;  // travel begins
-        SimTime end;         // arrival at `to`
-        Vec2 from;
-        Vec2 to;
-    };
-
     void extend_to(SimTime t);
-    const Segment& segment_for(SimTime t);
 
     Area area_;
     Params params_;
     Rng rng_;
-    std::vector<Segment> segments_;
+    /// Legs tiling [0, back().end): each pauses at `from` until move_start,
+    /// then travels to `to`, arriving at end.
+    std::vector<MotionSample> legs_;
 };
 
 /// Uniformly place `count` nodes in `area` (deterministic in rng).

@@ -126,9 +126,6 @@ struct TraceParams {
     /// Ring capacity per shard (shard = node + 1; shard 0 holds events with
     /// no node attribution). Oldest events in a shard are evicted first.
     std::size_t shard_capacity{1 << 14};
-    /// Mirror every event to stderr through util::log_trace (needs the log
-    /// level lowered to kTrace; for interactive debugging only).
-    bool mirror_stderr{false};
 };
 
 /// Bounded, per-node-sharded ring buffer of Events.

@@ -13,11 +13,6 @@ namespace {
 std::uint64_t frame_uid(const Frame& f) { return f.payload ? f.payload->uid : 0; }
 }  // namespace
 
-Radio::Radio(sim::Simulator& sim, Channel& channel, PositionFn position)
-    : sim_(sim), channel_(channel) {
-    index_ = channel_.register_radio(this, std::move(position));
-}
-
 Radio::Radio(sim::Simulator& sim, Channel& channel, mobility::MobilityModel& model)
     : sim_(sim), channel_(channel) {
     index_ = channel_.register_radio(this, &model);
@@ -155,25 +150,15 @@ std::uint64_t Channel::cell_key(Cell c) {
            static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.y));
 }
 
-EngineState::Index Channel::register_radio(Radio* radio, EngineState::PositionFn fn) {
-    const EngineState::Index idx = state_.add_row(std::move(fn));
-    finish_register(radio);
-    return idx;
-}
-
 EngineState::Index Channel::register_radio(Radio* radio, mobility::MobilityModel* model) {
     const EngineState::Index idx = state_.add_row(model);
-    finish_register(radio);
-    return idx;
-}
-
-void Channel::finish_register(Radio* radio) {
     radios_.push_back(radio);
     assert(radios_.size() == state_.size() && "state rows mirror registration order");
-    // Don't sample the new row's position here: a PositionFn may close over
-    // a not-yet-constructed owner. The radio stays a candidate for every
-    // query until the next sweep places it in a bucket.
-    unbucketed_.push_back(static_cast<std::uint32_t>(radios_.size() - 1));
+    // Registration leaves the grid alone: bucket contents change only in
+    // rebucket_if_stale, whose sweep cadence the cell-size slack is derived
+    // from. Until that sweep the radio is a candidate for every query.
+    unbucketed_.push_back(idx);
+    return idx;
 }
 
 void Channel::rebucket_if_stale() {

@@ -78,8 +78,6 @@ class Channel;
 /// itself holds only the MAC-facing callbacks and counters.
 class Radio {
   public:
-    using PositionFn = EngineState::PositionFn;
-
     struct Stats {
         std::uint64_t frames_sent{0};
         std::uint64_t frames_delivered{0};   ///< received intact
@@ -87,13 +85,9 @@ class Radio {
         std::uint64_t frames_missed_down{0}; ///< intact but radio was disabled
     };
 
-    /// Closure-positioned radio (test rigs, bench harnesses): `position` is
-    /// invoked per lookup.
-    Radio(sim::Simulator& sim, Channel& channel, PositionFn position);
-    /// Model-positioned radio (production nodes): positions are evaluated
-    /// from the EngineState's cached motion legs — same values, no closure
-    /// or virtual call on the per-frame path. The model must outlive the
-    /// radio.
+    /// Positions are evaluated from the EngineState's cached motion legs of
+    /// `model` — the values model.position_at() gives, with no virtual call
+    /// on the per-frame path. The model must outlive the radio.
     Radio(sim::Simulator& sim, Channel& channel, mobility::MobilityModel& model);
     Radio(const Radio&) = delete;
     Radio& operator=(const Radio&) = delete;
@@ -120,7 +114,6 @@ class Radio {
     bool enabled() const;
 
     Vec2 position() const;
-    /// Current velocity (zero for closure-positioned radios).
     Vec2 velocity() const;
     /// This radio's EngineState row (== its registration order).
     EngineState::Index index() const { return index_; }
@@ -269,9 +262,7 @@ class Channel {
         std::uint32_t next_free{kNilSlot};
     };
 
-    EngineState::Index register_radio(Radio* radio, EngineState::PositionFn fn);
     EngineState::Index register_radio(Radio* radio, mobility::MobilityModel* model);
-    void finish_register(Radio* radio);
     void start_tx(Radio* sender, const Frame& frame);
     void note_delivery() { ++stats_.deliveries; }
     void note_collision() { ++stats_.collisions; }
@@ -306,8 +297,7 @@ class Channel {
     double cell_m_{1.0};
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets_;
     /// Radios registered since the last sweep; always candidates until the
-    /// next sweep buckets them (their position row may not be safely
-    /// readable at registration time).
+    /// next sweep buckets them.
     std::vector<std::uint32_t> unbucketed_;
     bool swept_once_{false};
     SimTime last_sweep_{};

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "mobility/mobility.hpp"
@@ -20,29 +19,22 @@ using util::Vec2;
 /// a per-node closure -> unique_ptr -> virtual call -> segment binary search
 /// chain, which is what makes 100k+-node sweeps cache-feasible.
 ///
-/// Positions are evaluated with mobility::sample_position on legs fetched
-/// via MobilityModel::motion_at, so values are bit-identical to calling
-/// model->position_at(t) directly (same expressions, same operation order);
-/// swapping the Channel onto EngineState cannot change any simulation
-/// outcome. Rows are append-only and indexed by registration order — the
-/// same order as Channel::radios_ — so indices stay stable for the lifetime
-/// of the run (FaultInjector, InvariantChecker and obs taps key off them).
+/// Every row is a mobility model's cached motion leg, evaluated with
+/// mobility::sample_position, so values are bit-identical to calling
+/// model->position_at(t) directly (same leg, same expression); swapping the
+/// Channel onto EngineState cannot change any simulation outcome. Rows are
+/// append-only and indexed by registration order — the same order as
+/// Channel::radios_ — so indices stay stable for the lifetime of the run
+/// (FaultInjector, InvariantChecker and obs taps key off them).
 class EngineState {
   public:
     using Index = std::uint32_t;
-    using PositionFn = std::function<Vec2()>;
 
-    /// Row whose position comes from a mobility model. The model must
-    /// outlive the EngineState. Models that implement motion_at() get the
-    /// cached-leg fast path; others are queried per lookup.
+    /// Row whose position comes from `model`, which must outlive the
+    /// EngineState.
     Index add_row(mobility::MobilityModel* model);
 
-    /// Row whose position comes from an arbitrary closure (test rigs, bench
-    /// harnesses). Always queried per lookup — correct for any closure, just
-    /// not cache-linear.
-    Index add_row(PositionFn fn);
-
-    std::size_t size() const { return mode_.size(); }
+    std::size_t size() const { return model_.size(); }
 
     /// True position of row `i` at time `t` (refreshes the cached leg when
     /// it has gone stale).
@@ -64,13 +56,6 @@ class EngineState {
     bool bucketed(Index i) const { return bucketed_[i] != 0; }
 
   private:
-    enum class Mode : std::uint8_t {
-        kSampled,  ///< model with motion_at(): cached-leg fast path
-        kDirect,   ///< model without motion_at(): virtual call per lookup
-        kClosure,  ///< PositionFn row
-    };
-
-    Index append_common();
     void refresh(Index i, SimTime t);
     mobility::MotionSample sample_of(Index i) const {
         return mobility::MotionSample{SimTime::nanos(seg_start_ns_[i]),
@@ -81,9 +66,7 @@ class EngineState {
     }
 
     // One entry per row, all parallel (SoA).
-    std::vector<Mode> mode_;
     std::vector<mobility::MobilityModel*> model_;
-    std::vector<PositionFn> fn_;
     // Cached motion leg: valid for t in [seg_start, seg_end).
     std::vector<std::int64_t> seg_start_ns_;
     std::vector<std::int64_t> move_start_ns_;

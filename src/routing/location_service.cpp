@@ -57,7 +57,7 @@ LocationService::LocationService(Mode mode, GridMap grid, Params params, Hooks h
 }
 
 void LocationService::charge(SimTime cost, std::function<void()> done) {
-    if (params_.charge_crypto_costs && hooks_.charge) {
+    if (hooks_.charge) {
         hooks_.charge(cost, std::move(done));
     } else {
         done();

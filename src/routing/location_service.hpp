@@ -82,8 +82,6 @@ class LocationService {
         SimTime sweep_interval{SimTime::seconds(10.0)};
         /// Radius around the grid center within which a node serves.
         double server_radius_m{200.0};
-        /// Charge modeled crypto CPU costs on ALS operations.
-        bool charge_crypto_costs{true};
     };
 
     /// Agent-provided capabilities; keeps this component agent-agnostic.

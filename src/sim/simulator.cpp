@@ -2,15 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <utility>
 
 namespace geoanon::sim {
-
-QueueKind Simulator::default_queue_kind() {
-    return std::getenv("GEOANON_HEAP_QUEUE") != nullptr ? QueueKind::kBinaryHeap
-                                                        : QueueKind::kTimerWheel;
-}
 
 Simulator::Simulator(QueueKind kind) : kind_(kind) {
     for (Level& level : wheel_) {

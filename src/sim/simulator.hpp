@@ -23,11 +23,10 @@ using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
 
 /// Event-queue kernel selection. The timer wheel is the production kernel;
-/// the binary heap is the pre-wheel kernel kept as a differential baseline
-/// (bench/scaling_grid --differential) and escape hatch, selectable per
-/// process with the GEOANON_HEAP_QUEUE environment variable. Both kernels pop
-/// events in exactly (time, id) order, so every run is bit-identical
-/// between them.
+/// the binary heap is the pre-wheel kernel, kept as the reference the unit
+/// storm tests and bench/scaling_grid's kernel microbenchmark construct
+/// explicitly. Both kernels pop events in exactly (time, id) order, so every
+/// run is bit-identical between them.
 enum class QueueKind {
     kTimerWheel,
     kBinaryHeap,
@@ -52,11 +51,7 @@ class Simulator {
   public:
     using Callback = sim::Callback;
 
-    /// Kernel for new simulators: the timer wheel, unless GEOANON_HEAP_QUEUE
-    /// is set in the environment.
-    static QueueKind default_queue_kind();
-
-    explicit Simulator(QueueKind kind = default_queue_kind());
+    explicit Simulator(QueueKind kind = QueueKind::kTimerWheel);
 
     QueueKind queue_kind() const { return kind_; }
 
@@ -208,7 +203,7 @@ class Simulator {
     std::int64_t wheel_tick_{0};
     std::size_t wheel_count_{0};
 
-    // Binary-heap kernel (GEOANON_HEAP_QUEUE) ------------------------------
+    // Binary-heap kernel (reference) ---------------------------------------
     std::vector<std::uint32_t> heap_;
 
     /// live_[id - 1] is true while event `id` is scheduled and not

@@ -36,11 +36,9 @@ void ScenarioRunner::setup() {
     built_ = true;
 
     if (config_.use_real_crypto) {
-        engine_ = std::make_unique<crypto::RealCryptoEngine>(config_.seed * 7919 + 17,
-                                                             config_.modulus_bits);
+        engine_ = std::make_unique<crypto::RealCryptoEngine>(config_.seed * 7919 + 17);
     } else {
-        engine_ = std::make_unique<crypto::ModeledCryptoEngine>(config_.seed * 7919 + 17,
-                                                                config_.modulus_bits);
+        engine_ = std::make_unique<crypto::ModeledCryptoEngine>(config_.seed * 7919 + 17);
     }
     network_ = std::make_unique<net::Network>(config_.phy, config_.seed);
     if (config_.trace.enabled) {
@@ -146,9 +144,6 @@ void ScenarioRunner::build_nodes() {
         if (agfw) {
             core::AgfwAgent::Params ap = config_.agfw;
             ap.use_net_ack = config_.scheme == Scheme::kAgfwAck;
-            ap.authenticated_hello = config_.authenticated_hello;
-            ap.ring_k = config_.ring_k;
-            ap.charge_crypto_costs = config_.charge_crypto_costs;
             auto agent = std::make_unique<core::AgfwAgent>(node, ap, *engine_, universe,
                                                            locate, deliver);
             agfw_agents_.push_back(agent.get());

@@ -55,11 +55,10 @@ struct ScenarioConfig {
     phy::PhyParams phy{};
 
     // Crypto / anonymity knobs -------------------------------------------
-    bool use_real_crypto{false};      ///< real RSA math (small runs only)
-    std::size_t modulus_bits{512};
-    bool charge_crypto_costs{true};
-    bool authenticated_hello{false};  ///< ring-signed ANT (§3.1.2)
-    std::size_t ring_k{4};
+    /// Real RSA math (small runs only). Ring-signed hellos, ring size and
+    /// modeled CPU charges are AGFW settings: agfw.authenticated_hello,
+    /// agfw.ring_k, agfw.charge_crypto_costs.
+    bool use_real_crypto{false};
     /// §3.2: broadcast frames hide the sender MAC. Turning this off enables
     /// the correlation attack the paper warns about (privacy ablation).
     bool anonymous_mac{true};

@@ -157,13 +157,18 @@ TEST(Agfw, NoAckModeSendsNoAcks) {
 TEST(Agfw, UnreachableNextHopFallsBackToAlternate) {
     // 0 hears a "ghost" neighbor whose hellos come from a node that then
     // leaves: NL-ACK failure must blacklist it and reroute via the other.
+    // Home through t = 5 s; a one-nanosecond leg then lands it far away
+    // (t > 5 s means jumped).
     class Jumper final : public mobility::MobilityModel {
       public:
         explicit Jumper(Vec2 home) : home_(home) {}
-        Vec2 position_at(SimTime t) override {
-            return t > SimTime::seconds(5) ? Vec2{home_.x, 9000.0} : home_;
+        mobility::MotionSample motion_at(SimTime t) override {
+            const SimTime jump = SimTime::seconds(5);
+            const SimTime landed = jump + SimTime::nanos(1);
+            const Vec2 away{home_.x, 9000.0};
+            if (t < landed) return {SimTime::zero(), jump, landed, home_, away};
+            return {landed, landed, SimTime::max(), away, away};
         }
-        Vec2 velocity_at(SimTime) override { return {}; }
         Vec2 home_;
     };
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "experiment/json.hpp"
+#include "mobility/mobility.hpp"
 #include "phy/channel.hpp"
 #include "sim/simulator.hpp"
 #include "workload/scenario.hpp"
@@ -111,20 +112,36 @@ TEST(ChannelGridEquivalence, RangeEqualsCsRange) {
 // ---------------------------------------------------------------------------
 // Rig-level edge cases (same rig shape as test_phy.cpp)
 
+/// Sits at `before` until `at`, where a one-nanosecond leg lands it at
+/// `after` (positions are sampled on the integer-nanosecond clock, so no
+/// query ever sees the node mid-leg).
+class Teleport final : public mobility::MobilityModel {
+  public:
+    Teleport(Vec2 before, SimTime at, Vec2 after) : before_(before), at_(at), after_(after) {}
+    mobility::MotionSample motion_at(SimTime t) override {
+        if (t < at_) return {SimTime::zero(), at_ - SimTime::nanos(1), at_, before_, after_};
+        return {at_, at_, SimTime::max(), after_, after_};
+    }
+
+  private:
+    Vec2 before_;
+    SimTime at_;
+    Vec2 after_;
+};
+
 struct Rig {
     explicit Rig(PhyParams params = {}) : channel(sim, params) {}
 
-    Radio& add(Radio::PositionFn pos) {
-        radios.push_back(std::make_unique<Radio>(sim, channel, std::move(pos)));
+    Radio& add(std::unique_ptr<mobility::MobilityModel> model) {
+        models.push_back(std::move(model));
+        radios.push_back(std::make_unique<Radio>(sim, channel, *models.back()));
         received.emplace_back();
         auto idx = received.size() - 1;
         radios.back()->set_mac_hooks(
             nullptr, nullptr, [this, idx](const Frame& f) { received[idx].push_back(f); });
         return *radios.back();
     }
-    Radio& add(Vec2 pos) {
-        return add([pos] { return pos; });
-    }
+    Radio& add(Vec2 pos) { return add(std::make_unique<mobility::StationaryMobility>(pos)); }
 
     Frame frame(std::uint32_t bytes = 100) {
         Frame f;
@@ -135,6 +152,7 @@ struct Rig {
 
     sim::Simulator sim;
     Channel channel;
+    std::vector<std::unique_ptr<mobility::MobilityModel>> models;  // outlive radios
     std::vector<std::unique_ptr<Radio>> radios;
     std::vector<std::vector<Frame>> received;
 };
@@ -190,19 +208,16 @@ TEST(ChannelGrid, NegativeCoordinatesBucketCorrectly) {
 TEST(ChannelGrid, MovingRadioIsReBucketed) {
     // The receiver starts out of decode range, then drifts in. With a short
     // rebucket interval every transmission sees a fresh sweep, so the grid
-    // tracks the PositionFn without any explicit notification.
+    // tracks the motion leg without any explicit notification.
     PhyParams p;
     p.grid_rebucket_interval = SimTime::micros(1);
     p.grid_max_speed_mps = 0.0;
     Rig rig(p);
-    auto rx_pos = std::make_shared<Vec2>(Vec2{2000.0, 0.0});
     Radio& tx = rig.add({0, 0});
-    rig.add([rx_pos] { return *rx_pos; });
+    rig.add(std::make_unique<Teleport>(Vec2{2000.0, 0.0}, SimTime::seconds(1.0),
+                                       Vec2{200.0, 0.0}));
     rig.sim.at(SimTime::zero(), [&] { tx.start_tx(rig.frame()); });
-    rig.sim.at(SimTime::seconds(1.0), [&, rx_pos] {
-        *rx_pos = {200.0, 0.0};
-        tx.start_tx(rig.frame());
-    });
+    rig.sim.at(SimTime::seconds(1.0), [&] { tx.start_tx(rig.frame()); });
     rig.sim.run();
     ASSERT_EQ(rig.received[1].size(), 1u);  // only the second frame
 }
@@ -216,14 +231,13 @@ TEST(ChannelGrid, StaleBucketStillExactWithinSpeedHint) {
     p.grid_rebucket_interval = SimTime::seconds(10.0);
     p.grid_max_speed_mps = 50.0;  // slack = 500 m
     Rig rig(p);
-    auto rx_pos = std::make_shared<Vec2>(Vec2{700.0, 0.0});  // out of range, bucketed
     Radio& tx = rig.add({0, 0});
-    rig.add([rx_pos] { return *rx_pos; });
+    // Out of range and bucketed at t=0; drifts 490 m < slack by 9.9 s, with
+    // no sweep in between.
+    rig.add(std::make_unique<Teleport>(Vec2{700.0, 0.0}, SimTime::seconds(9.9),
+                                       Vec2{210.0, 0.0}));
     rig.sim.at(SimTime::zero(), [&] { tx.start_tx(rig.frame()); });  // sweeps at t=0
-    rig.sim.at(SimTime::seconds(9.9), [&, rx_pos] {
-        *rx_pos = {210.0, 0.0};  // drifted 490 m < slack; no sweep yet
-        tx.start_tx(rig.frame());
-    });
+    rig.sim.at(SimTime::seconds(9.9), [&] { tx.start_tx(rig.frame()); });
     rig.sim.run();
     ASSERT_EQ(rig.received[1].size(), 1u);
 }

@@ -126,13 +126,18 @@ TEST(Gpsr, MacFailureTriggersRerouteViaAlternate) {
     // Diamond: 0 -> {1 up, 2 down} -> 3. Node 0 prefers whichever is closer
     // to 3; if that neighbor vanishes mid-run, MAC failure reroutes via the
     // other. We emulate vanishing by a node whose mobility jumps away.
+    // Home through t = 6 s; a one-nanosecond leg then lands it far away
+    // (t > 6 s means jumped).
     class Jumper final : public mobility::MobilityModel {
       public:
         explicit Jumper(Vec2 home) : home_(home) {}
-        Vec2 position_at(SimTime t) override {
-            return t > SimTime::seconds(6) ? Vec2{home_.x, 5000.0} : home_;
+        mobility::MotionSample motion_at(SimTime t) override {
+            const SimTime jump = SimTime::seconds(6);
+            const SimTime landed = jump + SimTime::nanos(1);
+            const Vec2 away{home_.x, 5000.0};
+            if (t < landed) return {SimTime::zero(), jump, landed, home_, away};
+            return {landed, landed, SimTime::max(), away, away};
         }
-        Vec2 velocity_at(SimTime) override { return {}; }
         Vec2 home_;
     };
 

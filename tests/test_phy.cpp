@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "mobility/mobility.hpp"
 #include "phy/channel.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -22,7 +27,8 @@ struct Rig {
     explicit Rig(PhyParams params = {}) : channel(sim, params) {}
 
     Radio& add(Vec2 pos) {
-        radios.push_back(std::make_unique<Radio>(sim, channel, [pos] { return pos; }));
+        models.push_back(std::make_unique<mobility::StationaryMobility>(pos));
+        radios.push_back(std::make_unique<Radio>(sim, channel, *models.back()));
         received.emplace_back();
         auto idx = received.size() - 1;
         radios.back()->set_mac_hooks(
@@ -39,6 +45,7 @@ struct Rig {
 
     sim::Simulator sim;
     Channel channel;
+    std::vector<std::unique_ptr<mobility::StationaryMobility>> models;  // outlive radios
     std::vector<std::unique_ptr<Radio>> radios;
     std::vector<std::vector<Frame>> received;
 };
@@ -292,6 +299,64 @@ TEST(Phy, StatsCountersConsistent) {
     EXPECT_EQ(rig.channel.stats().deliveries, 2u);
     EXPECT_EQ(tx.stats().frames_sent, 1u);
     EXPECT_EQ(rig.radios[1]->stats().frames_delivered, 1u);
+}
+
+bool same_bits(Vec2 a, Vec2 b) {
+    return std::bit_cast<std::uint64_t>(a.x) == std::bit_cast<std::uint64_t>(b.x) &&
+           std::bit_cast<std::uint64_t>(a.y) == std::bit_cast<std::uint64_t>(b.y);
+}
+
+TEST(Phy, RadioPositionMatchesModelBitForBit) {
+    // A radio's position comes from the motion leg its EngineState row has
+    // cached. Whichever leg that is (earlier or later than the query), the
+    // radio must report what the model itself does, bit for bit.
+    const mobility::Area area{1500, 300};
+    mobility::RandomWaypoint::Params params;
+    params.pause = SimTime::seconds(5.0);
+    mobility::RandomWaypoint model(area, {100, 100}, params, util::Rng(7));
+    mobility::RandomWaypoint twin(area, {100, 100}, params, util::Rng(7));  // reference
+    sim::Simulator sim;
+    Channel channel(sim, {});
+    Radio radio(sim, channel, model);
+
+    // Every leg's start, pause end and arrival instant, their one-nanosecond
+    // neighbours, and a point mid-travel.
+    std::vector<SimTime> times;
+    for (SimTime t = SimTime::zero(); t < SimTime::seconds(1800.0);) {
+        const mobility::MotionSample leg = twin.motion_at(t);
+        const SimTime mid = SimTime::nanos((leg.move_start.ns() + leg.end.ns()) / 2);
+        for (SimTime q : {leg.start, leg.start + 1_ns, leg.move_start - 1_ns, leg.move_start,
+                          leg.move_start + 1_ns, mid, leg.end - 1_ns, leg.end})
+            if (q >= SimTime::zero()) times.push_back(q);
+        t = leg.end + 1_ns;  // motion_at(leg.end) may still return this leg
+    }
+    std::sort(times.begin(), times.end());
+    times.erase(std::unique(times.begin(), times.end()), times.end());
+    ASSERT_GT(times.size(), 50u);
+
+    // Before each radio query, prime the row at a shuffled partner time so
+    // the cached leg may lie before, at or after the query.
+    std::vector<SimTime> partner = times;
+    util::Rng rng(11);
+    for (std::size_t i = partner.size() - 1; i > 0; --i) {
+        const auto j = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i)));
+        std::swap(partner[i], partner[j]);
+    }
+
+    int backwards = 0;
+    for (std::size_t k = 0; k < times.size(); ++k) {
+        sim.at(times[k], [&, k] {
+            const SimTime t = times[k];
+            const SimTime q = partner[k];
+            EXPECT_TRUE(same_bits(channel.state().position(radio.index(), q), twin.position_at(q)))
+                << "prime t=" << q.ns();
+            if (twin.motion_at(q).start > t) ++backwards;
+            EXPECT_TRUE(same_bits(radio.position(), twin.position_at(t))) << "t=" << t.ns();
+            EXPECT_TRUE(same_bits(radio.velocity(), twin.velocity_at(t))) << "t=" << t.ns();
+        });
+    }
+    sim.run();
+    EXPECT_GT(backwards, 0);  // some queries refreshed to an earlier leg
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ TEST(Scenario, DifferentSeedsDiffer) {
 TEST(Scenario, CryptoCostsRaiseLatency) {
     ScenarioConfig with = small_config(Scheme::kAgfwAck, 4);
     ScenarioConfig without = small_config(Scheme::kAgfwAck, 4);
-    without.charge_crypto_costs = false;
+    without.agfw.charge_crypto_costs = false;
     const ScenarioResult r_with = ScenarioRunner(with).run();
     const ScenarioResult r_without = ScenarioRunner(without).run();
     // The 8.5 ms trapdoor decryption at the last hop must be visible.
@@ -97,8 +97,8 @@ TEST(Scenario, CryptoCostsRaiseLatency) {
 TEST(Scenario, AuthenticatedHellosCostControlBytes) {
     ScenarioConfig plain_cfg = small_config(Scheme::kAgfwAck, 6);
     ScenarioConfig auth_cfg = small_config(Scheme::kAgfwAck, 6);
-    auth_cfg.authenticated_hello = true;
-    auth_cfg.ring_k = 4;
+    auth_cfg.agfw.authenticated_hello = true;
+    auth_cfg.agfw.ring_k = 4;
     const ScenarioResult plain = ScenarioRunner(plain_cfg).run();
     const ScenarioResult auth = ScenarioRunner(auth_cfg).run();
     EXPECT_GT(auth.counter("agfw.control_bytes"), plain.counter("agfw.control_bytes") * 3);

@@ -14,7 +14,7 @@ using geoanon::util::SimTime;
 using namespace geoanon::util::literals;
 
 /// Every kernel-behavior test runs against both event-queue kernels: the
-/// timer wheel (production) and the binary heap (differential baseline).
+/// timer wheel (production) and the binary heap (reference).
 /// They must be observationally identical.
 class SimulatorKernels : public ::testing::TestWithParam<QueueKind> {
   protected:
@@ -224,8 +224,8 @@ TEST_P(SimulatorKernels, FarFutureEventsBeyondWheelHorizonStayOrdered) {
 }
 
 /// Deterministic schedule/cancel storm replayed on both kernels: the exact
-/// firing sequences must match event for event. This is the unit-level
-/// analogue of bench/scaling_grid --differential.
+/// firing sequences must match event for event. test_golden_result pins the
+/// same property on whole runs.
 TEST(SimulatorKernelEquivalence, ScheduleCancelStormMatchesAcrossKernels) {
     const auto storm = [](QueueKind kind) {
         Simulator sim(kind);

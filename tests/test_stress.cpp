@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "mac/mac80211.hpp"
+#include "mobility/mobility.hpp"
 #include "phy/channel.hpp"
 #include "sim/simulator.hpp"
 #include "util/log.hpp"
@@ -72,6 +73,7 @@ TEST(Stress, BroadcastStormCountersStayConsistent) {
     sim::Simulator sim;
     phy::Channel channel(sim, {});
     struct St {
+        std::unique_ptr<mobility::StationaryMobility> mobility;  // outlives radio
         std::unique_ptr<phy::Radio> radio;
         std::unique_ptr<mac::Mac80211> mac;
     };
@@ -80,7 +82,8 @@ TEST(Stress, BroadcastStormCountersStayConsistent) {
     for (int i = 0; i < 20; ++i) {
         St st;
         const util::Vec2 pos{rng.uniform(0, 200), rng.uniform(0, 200)};
-        st.radio = std::make_unique<phy::Radio>(sim, channel, [pos] { return pos; });
+        st.mobility = std::make_unique<mobility::StationaryMobility>(pos);
+        st.radio = std::make_unique<phy::Radio>(sim, channel, *st.mobility);
         st.mac = std::make_unique<mac::Mac80211>(sim, *st.radio, i + 1,
                                                  mac::MacParams{}, util::Rng(i));
         stations.push_back(std::move(st));
